@@ -16,8 +16,8 @@
 //!
 //! Any gate failure exits non-zero (the `chaos-smoke` CI job fails).
 //! Results — per-run fault/recovery counters, recovery-latency samples and
-//! survival curves — go to `BENCH_chaos.json` at the workspace root (or
-//! `BLISS_BENCH_OUT`). `--quick` / `BLISS_BENCH_FAST=1` runs the reduced
+//! survival curves — go to `BENCH_chaos.json` at the workspace root (or in
+//! the directory `BLISS_BENCH_OUT` names). `--quick` / `BLISS_BENCH_FAST=1` runs the reduced
 //! CI profile.
 
 use bliss_fleet::{

@@ -6,10 +6,10 @@
 //! sessions, so the host axis shows real throughput scaling under the
 //! per-launch dispatch-overhead model.
 //!
-//! Results go to `BENCH_fleet.json` at the workspace root (or
-//! `BLISS_BENCH_OUT`), next to `BENCH_serve.json`; the `fleet-smoke` CI job
-//! uploads it on every push. `--quick` (or `BLISS_BENCH_FAST=1`) runs a
-//! reduced sweep for CI.
+//! Results go to `BENCH_fleet.json` (and the trace to `TRACE_fleet.json`)
+//! at the workspace root, or in the directory `BLISS_BENCH_OUT` names; the
+//! `fleet-smoke` CI job uploads it on every push. `--quick` (or
+//! `BLISS_BENCH_FAST=1`) runs a reduced sweep for CI.
 //!
 //! The whole sweep runs with `bliss_telemetry` tracing **on** (after an
 //! off/on bit-identity probe): the report gains a per-stage breakdown and

@@ -7,10 +7,10 @@
 //! deadline-miss rate, throughput, mean batch size and the wall-clock time
 //! of the whole run (the batching win on real hardware).
 //!
-//! Results go to `BENCH_serve.json` at the workspace root (or
-//! `BLISS_BENCH_OUT`), next to `BENCH_kernels.json`; the `serve-smoke` CI
-//! job uploads it on every push. `--quick` (or `BLISS_BENCH_FAST=1`) runs a
-//! reduced sweep for CI.
+//! Results go to `BENCH_serve.json` (and the trace to `TRACE_serve.json`)
+//! at the workspace root, or in the directory `BLISS_BENCH_OUT` names; the
+//! `serve-smoke` CI job uploads it on every push. `--quick` (or
+//! `BLISS_BENCH_FAST=1`) runs a reduced sweep for CI.
 //!
 //! The whole sweep runs with `bliss_telemetry` tracing **on** (after an
 //! off/on bit-identity probe): the report gains a per-stage breakdown and
@@ -85,15 +85,6 @@ struct SweepReport {
     /// First swept session count whose batched deadline-miss rate reaches
     /// 50% (0 = never): the serving saturation knee.
     knee_sessions: usize,
-    /// Wall-clock of one representative batched load point served through
-    /// the compiled execution plans (the default).
-    planned_wall_ms: f64,
-    /// The same load point forced back onto the autograd tape.
-    tape_wall_ms: f64,
-    /// `tape_wall_ms / planned_wall_ms`: the per-frame dispatch win of
-    /// planned execution (identical outputs, pinned bit-for-bit before the
-    /// ratio is reported).
-    planned_dispatch_speedup: f64,
     /// Per-stage span aggregates over the whole traced sweep (virtual and
     /// wall time), in pipeline order.
     stages: Vec<StageSummary>,
@@ -416,28 +407,6 @@ fn main() {
     }
     let int8_sites = runtime.int8_sites();
 
-    // Dispatch win: one mid-sweep batched load point served through the
-    // compiled execution plans (the default), then forced back onto the
-    // autograd tape. Outputs must agree bit-for-bit; only wall time moves.
-    let mut probe_cfg = ServeConfig::new(if quick { 4 } else { 8 }, frames);
-    probe_cfg.max_batch = max_batch;
-    let t = Instant::now();
-    let planned_outcome = runtime.serve(&probe_cfg).expect("serve succeeds");
-    let planned_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let tape_runtime = runtime.without_planned_inference();
-    let t = Instant::now();
-    let tape_outcome = tape_runtime.serve(&probe_cfg).expect("serve succeeds");
-    let tape_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        planned_outcome.report, tape_outcome.report,
-        "planned and tape serving must agree bit-for-bit"
-    );
-    let planned_dispatch_speedup = tape_wall_ms / planned_wall_ms.max(1e-9);
-    println!(
-        "planned dispatch {planned_wall_ms:.1} ms vs tape {tape_wall_ms:.1} ms \
-         ({planned_dispatch_speedup:.2}x)"
-    );
-
     // Drain the span ring into the Perfetto-loadable Chrome trace and the
     // per-stage breakdown; validate the trace JSON by re-parsing it with
     // the same parser CI uses before writing it next to the bench report.
@@ -476,9 +445,6 @@ fn main() {
         max_batch,
         roi_box_to_gt_area_ratio: roi_ratio,
         knee_sessions,
-        planned_wall_ms,
-        tape_wall_ms,
-        planned_dispatch_speedup,
         stages,
         metrics,
         spans_dropped,

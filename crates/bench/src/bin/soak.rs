@@ -11,7 +11,8 @@
 //!
 //! The whole soak runs on a single-thread pool so the scratch-pool
 //! readings on the main thread cover the inference work too. Results go
-//! to `BENCH_soak.json` at the workspace root (or `BLISS_BENCH_OUT`);
+//! to `BENCH_soak.json` at the workspace root (or in the directory
+//! `BLISS_BENCH_OUT` names);
 //! `--quick` / `BLISS_BENCH_FAST=1` runs the minutes-scale smoke profile
 //! the `soak-smoke` CI job uses. The process exits non-zero if a
 //! durability check fails, so CI catches regressions without parsing the

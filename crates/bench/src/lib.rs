@@ -82,15 +82,20 @@ pub fn fast_mode() -> bool {
         || std::env::var("BLISS_BENCH_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Resolves where a sweep binary writes its `BENCH_<name>.json`: the
-/// `BLISS_BENCH_OUT` override when set, else `name` at the workspace root
-/// (nearest ancestor with a `Cargo.lock`), else the current directory.
+/// Resolves where a sweep binary writes the artefact `name` (a
+/// `BENCH_*.json` report or a `TRACE_*.json` trace): `name` inside the
+/// directory the `BLISS_BENCH_OUT` override names when set, else `name` at
+/// the workspace root (nearest ancestor with a `Cargo.lock`), else the
+/// current directory.
 pub fn report_path(name: &str) -> std::path::PathBuf {
+    report_path_under(std::env::var("BLISS_BENCH_OUT").ok().as_deref(), name)
+}
+
+/// [`report_path`] with the override directory passed in.
+fn report_path_under(out_dir: Option<&str>, name: &str) -> std::path::PathBuf {
     use std::path::PathBuf;
-    if let Ok(path) = std::env::var("BLISS_BENCH_OUT") {
-        if !path.is_empty() {
-            return PathBuf::from(path);
-        }
+    if let Some(dir) = out_dir.filter(|d| !d.is_empty()) {
+        return PathBuf::from(dir).join(name);
     }
     let mut dir = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
@@ -124,6 +129,16 @@ mod tests {
     fn fmt_time_units() {
         assert_eq!(fmt_time(2e-3), "2.00 ms");
         assert_eq!(fmt_time(5e-6), "5.0 us");
+    }
+
+    #[test]
+    fn override_directory_keeps_artefacts_apart() {
+        let report = report_path_under(Some("out"), "BENCH_serve.json");
+        let trace = report_path_under(Some("out"), "TRACE_serve.json");
+        assert_eq!(report, std::path::Path::new("out/BENCH_serve.json"));
+        assert_eq!(trace, std::path::Path::new("out/TRACE_serve.json"));
+        // An empty override falls back to the workspace root.
+        assert!(report_path_under(Some(""), "BENCH_serve.json").ends_with("BENCH_serve.json"));
     }
 
     #[test]

@@ -117,8 +117,8 @@ pub struct EpochStats {
     /// Scratch-pool bytes retained on the serving thread **after** the
     /// epoch — the curve that must go flat (see [`SoakReport`]).
     pub pool_retained_bytes: usize,
-    /// Compiled ViT execution plans cached after the epoch (0 when the
-    /// runtime is forced onto the tape path). Span layouts are finite, so
+    /// Compiled ViT execution plans cached after the epoch. Span layouts
+    /// are finite, so
     /// this count must plateau — a cache still growing late in the soak is
     /// a plan-state leak.
     pub vit_plans: usize,

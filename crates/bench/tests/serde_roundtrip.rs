@@ -555,7 +555,6 @@ fn telemetry_values_round_trip() {
     }
     let span = bliss_telemetry::SpanRecord {
         stage: bliss_telemetry::Stage::Inference,
-        planned: true,
         scenario: 3,
         host: 2,
         session: 17,

@@ -1,5 +1,5 @@
 use crate::layers::{LayerNormLayer, Linear, Mlp};
-use crate::Module;
+use crate::{Builder, Module, Tape};
 use bliss_parallel::par_map_collect;
 use bliss_tensor::{GraphBuilder, NdArray, NodeId, Tensor, TensorError};
 use rand::Rng;
@@ -140,52 +140,60 @@ impl MultiHeadAttention {
         self.dim
     }
 
-    /// Applies self-attention to a `[tokens, dim]` tensor.
-    ///
-    /// Equivalent to [`MultiHeadAttention::forward_spans`] with a single span
-    /// covering every row.
+    /// Applies self-attention to a `[tokens, dim]` tensor on the tape:
+    /// [`MultiHeadAttention::apply`] with one span covering every row.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the input's channel dimension is not `dim`.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         let rows = x.shape()[0];
-        self.forward_spans(x, &[(0, rows)])
+        self.apply(&mut Tape, x, &[(0, rows)])
     }
 
-    /// Applies *block-diagonal* self-attention: rows within each
-    /// `(start, end)` span attend only to rows of the same span.
+    /// Applies *block-diagonal* self-attention on any [`Builder`] engine:
+    /// rows within each `(start, end)` span attend only to rows of the same
+    /// span.
     ///
     /// This is the batched-inference primitive of the serving runtime: K
     /// sessions' token sets are stacked into one `[T, dim]` matrix and the
     /// QKV projections, the output projection and (in
-    /// [`TransformerBlock::forward_spans`]) the MLP run as *one* GEMM each
-    /// instead of K, while the quadratic score/softmax/AV chain stays
-    /// per-span so sessions never mix. Because every kernel's per-row
-    /// accumulation order is independent of the row count, each span's rows
-    /// are **bit-identical** to running that span through
+    /// [`TransformerBlock::apply`]) the MLP run as *one* GEMM each instead
+    /// of K, while the quadratic score/softmax/AV chain stays per-span so
+    /// sessions never mix. Because every kernel's per-row accumulation
+    /// order is independent of the row count, each span's rows are
+    /// **bit-identical** to running that span through
     /// [`MultiHeadAttention::forward`] alone.
-    ///
-    /// All heads are computed as one fused autograd op. The QKV projections
-    /// of every head are evaluated as a single `[dim, 3*dim]` GEMM against
-    /// the concatenated weights (three launches fused into one, ROADMAP
-    /// PR-2 follow-up); the per-head, per-span `scores -> softmax -> AV`
-    /// chains then fan out across the `bliss_parallel` pool in both the
-    /// forward and the backward pass (head index order is fixed, so
-    /// gradients accumulate identically for every thread count).
     ///
     /// # Errors
     ///
     /// Returns a shape error if the input's channel dimension is not `dim`,
     /// or [`TensorError::InvalidArgument`] if `spans` is empty, overlapping,
     /// out of order, or does not exactly cover the input rows.
-    pub fn forward_spans(
+    pub fn apply<B: Builder>(
+        &self,
+        b: &mut B,
+        x: &B::Node,
+        spans: &[(usize, usize)],
+    ) -> Result<B::Node, TensorError> {
+        let heads = b.block_attention(self, x, spans)?;
+        self.proj.apply(b, &heads)
+    }
+
+    /// The tape's [`Builder::block_attention`]: all heads as one fused
+    /// autograd op. The QKV projections of every head are evaluated as a
+    /// single `[dim, 3*dim]` GEMM against the concatenated weights; the
+    /// per-head, per-span `scores -> softmax -> AV` chains then fan out
+    /// across the `bliss_parallel` pool in both the forward and the
+    /// backward pass (head index order is fixed, so gradients accumulate
+    /// identically for every thread count).
+    pub(crate) fn heads_on_tape(
         &self,
         x: &Tensor,
         spans: &[(usize, usize)],
     ) -> Result<Tensor, TensorError> {
         let rows = x.shape()[0];
-        validate_spans(spans, rows, "mha_forward_spans")?;
+        validate_spans(spans, rows, "block_attention")?;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let heads = self.heads();
         let head_dim = self.head_dim;
@@ -337,32 +345,25 @@ impl MultiHeadAttention {
                 p[5].add_grad(&hg.dbv).expect(e);
             }
         });
-        self.proj.forward(&fused)
+        Ok(fused)
     }
 
-    /// Records block-diagonal self-attention into a planned-inference graph,
-    /// mirroring [`MultiHeadAttention::forward_spans`] exactly: the same
-    /// fused `[dim, 3*dim]` QKV GEMM (column layout
+    /// The graph's [`Builder::block_attention`], lowered exactly as
+    /// [`MultiHeadAttention::heads_on_tape`] computes it: the same fused
+    /// `[dim, 3*dim]` QKV GEMM (column layout
     /// `[q_0..q_H | k_0..k_H | v_0..v_H]`), the same per-head, per-span
-    /// `scores -> softmax -> AV` chain and the same concatenation order, so
-    /// the compiled plan is bit-identical to the tape. The forward runs the
-    /// heads through the thread pool; the recorded graph lists them in the
-    /// same fixed head order, and since the heads are data-independent the
-    /// results match bit-for-bit at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input's channel dimension is not `dim`,
-    /// or [`TensorError::InvalidArgument`] for a malformed `spans` (see
-    /// [`MultiHeadAttention::forward_spans`]).
-    pub fn record_spans(
+    /// `scores -> softmax -> AV` chain and the same concatenation order. The
+    /// tape runs the heads through the thread pool; the graph lists them in
+    /// the same fixed head order, and since the heads are data-independent
+    /// the results match bit-for-bit at any thread count.
+    pub(crate) fn heads_on_graph(
         &self,
         g: &mut GraphBuilder,
         x: NodeId,
         spans: &[(usize, usize)],
     ) -> Result<NodeId, TensorError> {
         let rows = g.shape(x)[0];
-        validate_spans(spans, rows, "mha_record_spans")?;
+        validate_spans(spans, rows, "block_attention")?;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let heads = self.heads();
         let head_dim = self.head_dim;
@@ -372,17 +373,10 @@ impl MultiHeadAttention {
         // v_0..v_H] column layout as the forward's concat.
         let mut wcols = Vec::with_capacity(3 * heads);
         let mut bparts = Vec::with_capacity(3 * heads);
-        for proj in 0..3 {
-            for h in 0..heads {
-                let lin = match proj {
-                    0 => &self.query[h],
-                    1 => &self.key[h],
-                    _ => &self.value[h],
-                };
-                let params = lin.parameters();
-                wcols.push(g.param(&params[0]));
-                bparts.push(g.param(&params[1]));
-            }
+        for lin in [&self.query, &self.key, &self.value].into_iter().flatten() {
+            let params = lin.parameters();
+            wcols.push(g.param(&params[0]));
+            bparts.push(g.param(&params[1]));
         }
         let wqkv = g.concat_cols(&wcols)?;
         let bqkv = g.concat_flat(&bparts)?;
@@ -406,8 +400,7 @@ impl MultiHeadAttention {
             }
             head_outs.push(g.concat_rows(&outs)?);
         }
-        let fused = g.concat_cols(&head_outs)?;
-        self.proj.record(g, fused)
+        g.concat_cols(&head_outs)
     }
 
     /// Multiply-accumulate operations for `tokens` input rows.
@@ -480,58 +473,39 @@ impl TransformerBlock {
         }
     }
 
-    /// Applies the block to a `[tokens, dim]` tensor.
+    /// Applies the block to a `[tokens, dim]` tensor on the tape.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the channel dimension differs.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         let rows = x.shape()[0];
-        self.forward_spans(x, &[(0, rows)])
+        self.apply(&mut Tape, x, &[(0, rows)])
     }
 
-    /// Applies the block with block-diagonal attention over `spans`
-    /// (see [`MultiHeadAttention::forward_spans`]): layer norms, the fused
-    /// QKV/output projections and the MLP run as single cross-span GEMMs,
-    /// while attention never crosses a span boundary. Each span's rows are
-    /// bit-identical to a solo [`TransformerBlock::forward`] of that span.
+    /// Applies the block on any [`Builder`] engine with block-diagonal
+    /// attention over `spans` (see [`MultiHeadAttention::apply`]): layer
+    /// norms, the fused QKV/output projections and the MLP run as single
+    /// cross-span GEMMs, while attention never crosses a span boundary.
+    /// Each span's rows are bit-identical to a solo
+    /// [`TransformerBlock::forward`] of that span.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the channel dimension differs, or an
-    /// invalid-argument error for a malformed `spans` (see
-    /// [`MultiHeadAttention::forward_spans`]).
-    pub fn forward_spans(
+    /// invalid-argument error for a malformed `spans`.
+    pub fn apply<B: Builder>(
         &self,
-        x: &Tensor,
+        b: &mut B,
+        x: &B::Node,
         spans: &[(usize, usize)],
-    ) -> Result<Tensor, TensorError> {
-        let attn_out = self.attn.forward_spans(&self.norm1.forward(x)?, spans)?;
-        let x = x.add(&attn_out)?;
-        let mlp_out = self.mlp.forward(&self.norm2.forward(&x)?)?;
-        x.add(&mlp_out)
-    }
-
-    /// Records the block into a planned-inference graph, mirroring
-    /// [`TransformerBlock::forward_spans`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the channel dimension differs, or an
-    /// invalid-argument error for a malformed `spans` (see
-    /// [`MultiHeadAttention::forward_spans`]).
-    pub fn record_spans(
-        &self,
-        g: &mut GraphBuilder,
-        x: NodeId,
-        spans: &[(usize, usize)],
-    ) -> Result<NodeId, TensorError> {
-        let n1 = self.norm1.record(g, x)?;
-        let attn_out = self.attn.record_spans(g, n1, spans)?;
-        let x1 = g.add(x, attn_out)?;
-        let n2 = self.norm2.record(g, x1)?;
-        let mlp_out = self.mlp.record(g, n2)?;
-        g.add(x1, mlp_out)
+    ) -> Result<B::Node, TensorError> {
+        let n1 = self.norm1.apply(b, x)?;
+        let attn_out = self.attn.apply(b, &n1, spans)?;
+        let x1 = b.add(x, &attn_out)?;
+        let n2 = self.norm2.apply(b, &x1)?;
+        let mlp_out = self.mlp.apply(b, &n2)?;
+        b.add(&x1, &mlp_out)
     }
 
     /// Multiply-accumulate operations for `tokens` input rows.
@@ -685,7 +659,7 @@ mod tests {
         let yb = mha.forward(&Tensor::constant(b.clone())).unwrap();
         let stacked = NdArray::concat_rows(&[&a, &b]).unwrap();
         let y = mha
-            .forward_spans(&Tensor::constant(stacked), &[(0, 5), (5, 8)])
+            .apply(&mut Tape, &Tensor::constant(stacked), &[(0, 5), (5, 8)])
             .unwrap();
         let yv = y.value();
         assert_eq!(&yv.data()[..5 * 12], ya.value().data());
@@ -702,7 +676,7 @@ mod tests {
         let yb = block.forward(&Tensor::constant(b.clone())).unwrap();
         let stacked = NdArray::concat_rows(&[&a, &b]).unwrap();
         let y = block
-            .forward_spans(&Tensor::constant(stacked), &[(0, 4), (4, 10)])
+            .apply(&mut Tape, &Tensor::constant(stacked), &[(0, 4), (4, 10)])
             .unwrap();
         let yv = y.value();
         assert_eq!(&yv.data()[..4 * 8], ya.value().data());
@@ -722,7 +696,7 @@ mod tests {
             &[(0, 3), (3, 3), (3, 6)][..], // empty span
             &[(3, 6), (0, 3)][..],         // out of order
         ] {
-            assert!(mha.forward_spans(&x, bad).is_err(), "accepted {bad:?}");
+            assert!(mha.apply(&mut Tape, &x, bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -736,7 +710,7 @@ mod tests {
             &params,
             || {
                 let xin = Tensor::constant(x.clone());
-                Ok(mha.forward_spans(&xin, &[(0, 2), (2, 5)])?.mean_all())
+                Ok(mha.apply(&mut Tape, &xin, &[(0, 2), (2, 5)])?.mean_all())
             },
             1e-2,
             4,
@@ -752,53 +726,5 @@ mod tests {
         // 3 heads * 3 projections * (12*4 + 4) + proj (12*12 + 12)
         let expected = 3 * 3 * (12 * 4 + 4) + 12 * 12 + 12;
         assert_eq!(mha.num_parameters(), expected);
-    }
-
-    #[test]
-    fn recorded_mha_spans_match_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let mha = MultiHeadAttention::new(&mut rng, 12, 3);
-        let x = NdArray::randn(&mut rng, &[9, 12], 1.0);
-        let spans = [(0, 4), (4, 9)];
-        let taped = mha
-            .forward_spans(&Tensor::constant(x.clone()), &spans)
-            .unwrap();
-
-        let mut g = GraphBuilder::default();
-        let xin = g.input(&[9, 12]);
-        let out = mha.record_spans(&mut g, xin, &spans).unwrap();
-        g.mark_output(out);
-        let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
-        plan.execute(&[x.data()], &[]).unwrap();
-        plan.with_output(0, |data| assert_eq!(data, taped.value().data()));
-    }
-
-    #[test]
-    fn recorded_transformer_block_matches_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let block = TransformerBlock::new(&mut rng, 8, 2);
-        let x = NdArray::randn(&mut rng, &[10, 8], 1.0);
-        let spans = [(0, 7), (7, 10)];
-        let taped = block
-            .forward_spans(&Tensor::constant(x.clone()), &spans)
-            .unwrap();
-
-        let mut g = GraphBuilder::default();
-        let xin = g.input(&[10, 8]);
-        let out = block.record_spans(&mut g, xin, &spans).unwrap();
-        g.mark_output(out);
-        let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
-        plan.execute(&[x.data()], &[]).unwrap();
-        plan.with_output(0, |data| assert_eq!(data, taped.value().data()));
-    }
-
-    #[test]
-    fn recorded_mha_rejects_malformed_spans() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mha = MultiHeadAttention::new(&mut rng, 8, 2);
-        let mut g = GraphBuilder::default();
-        let xin = g.input(&[6, 8]);
-        assert!(mha.record_spans(&mut g, xin, &[(0, 3)]).is_err());
-        assert!(mha.record_spans(&mut g, xin, &[(0, 4), (3, 6)]).is_err());
     }
 }

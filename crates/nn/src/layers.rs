@@ -1,5 +1,5 @@
 use crate::init::{kaiming_normal, xavier_uniform};
-use crate::Module;
+use crate::{Builder, Module, Tape};
 use bliss_tensor::{GraphBuilder, NdArray, NodeId, Tensor, TensorError};
 use rand::Rng;
 
@@ -36,21 +36,15 @@ impl Linear {
     ///
     /// Returns a shape error if the input's last dimension is not `in`.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        x.matmul(&self.weight)?.add_row(&self.bias)
+        self.apply(&mut Tape, x)
     }
 
-    /// Records the layer into a planned-inference graph, mirroring
-    /// [`Linear::forward`] exactly (same ops, same operand order), so the
-    /// compiled plan is bit-identical to the tape.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input node's last dimension is not `in`.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let w = g.param(&self.weight);
-        let b = g.param(&self.bias);
-        let mm = g.matmul(x, w)?;
-        g.add_row(mm, b)
+    /// [`Linear::forward`] on any [`Builder`] engine, with the same errors.
+    pub fn apply<B: Builder>(&self, b: &mut B, x: &B::Node) -> Result<B::Node, TensorError> {
+        let w = b.param(&self.weight);
+        let bias = b.param(&self.bias);
+        let mm = b.matmul(x, &w)?;
+        b.add_row(&mm, &bias)
     }
 
     /// Input feature count.
@@ -120,47 +114,29 @@ impl Conv2d {
     /// Returns a shape error if channel counts disagree or the kernel does
     /// not fit the padded input.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
+        self.apply(&mut Tape, x)
+    }
+
+    /// [`Conv2d::forward`] on any [`Builder`] engine, with the same errors.
+    pub fn apply<B: Builder>(&self, b: &mut B, x: &B::Node) -> Result<B::Node, TensorError> {
+        b.conv2d(self, x)
+    }
+
+    /// The tape's [`Builder::conv2d`]: the fused im2col convolution op.
+    pub(crate) fn on_tape(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         x.conv2d(&self.weight, Some(&self.bias), self.stride, self.pad)
     }
 
-    /// Records the convolution into a planned-inference graph, mirroring
-    /// the tape lowering of [`Conv2d::forward`] exactly: im2col, the weight
-    /// viewed as a `[oc, ic*kh*kw]` matmul operand, a per-channel bias add,
-    /// and a reshape (which compiles away as an alias).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input node is not `[in_channels, h, w]`.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let shape = g.shape(x);
-        if shape.len() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "conv2d",
-                expected: 3,
-                actual: shape.len(),
-            });
-        }
-        if shape[0] != self.in_channels {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d",
-                lhs: shape.to_vec(),
-                rhs: vec![
-                    self.out_channels,
-                    self.in_channels,
-                    self.kernel,
-                    self.kernel,
-                ],
-            });
-        }
-        let (h, w) = (shape[1], shape[2]);
-        let cols = g.im2col(x, self.kernel, self.kernel, self.stride, self.pad)?;
-        let w2 = g.param_view(
-            &self.weight,
-            &[
-                self.out_channels,
-                self.in_channels * self.kernel * self.kernel,
-            ],
-        )?;
+    /// The graph's [`Builder::conv2d`], lowered exactly as the tape op
+    /// computes it: im2col (which checks the input rank), the weight viewed
+    /// as a `[oc, ic*kh*kw]` matmul operand (the matmul checks the channel
+    /// count), a per-channel bias add, and a reshape (an alias once
+    /// compiled).
+    pub(crate) fn on_graph(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
+        let k = self.kernel;
+        let cols = g.im2col(x, k, k, self.stride, self.pad)?;
+        let (h, w) = (g.shape(x)[1], g.shape(x)[2]);
+        let w2 = g.param_view(&self.weight, &[self.out_channels, self.in_channels * k * k])?;
         let prod = g.matmul(w2, cols)?;
         let b = g.param(&self.bias);
         let biased = g.add_col_bias(prod, b)?;
@@ -285,19 +261,14 @@ impl LayerNormLayer {
     ///
     /// Returns a shape error if the feature dimension differs.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        x.layer_norm(&self.gamma, &self.beta, self.eps)
+        self.apply(&mut Tape, x)
     }
 
-    /// Records the layer norm into a planned-inference graph, mirroring
-    /// [`LayerNormLayer::forward`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the feature dimension differs.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let gamma = g.param(&self.gamma);
-        let beta = g.param(&self.beta);
-        g.layer_norm(x, gamma, beta, self.eps)
+    /// [`LayerNormLayer::forward`] on any [`Builder`] engine, with the same errors.
+    pub fn apply<B: Builder>(&self, b: &mut B, x: &B::Node) -> Result<B::Node, TensorError> {
+        let gamma = b.param(&self.gamma);
+        let beta = b.param(&self.beta);
+        b.layer_norm(x, &gamma, &beta, self.eps)
     }
 }
 
@@ -329,19 +300,14 @@ impl Mlp {
     ///
     /// Returns a shape error if the input feature dimension differs.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.fc2.forward(&self.fc1.forward(x)?.gelu())
+        self.apply(&mut Tape, x)
     }
 
-    /// Records the MLP into a planned-inference graph, mirroring
-    /// [`Mlp::forward`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input feature dimension differs.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let hidden = self.fc1.record(g, x)?;
-        let act = g.gelu(hidden);
-        self.fc2.record(g, act)
+    /// [`Mlp::forward`] on any [`Builder`] engine, with the same errors.
+    pub fn apply<B: Builder>(&self, b: &mut B, x: &B::Node) -> Result<B::Node, TensorError> {
+        let hidden = self.fc1.apply(b, x)?;
+        let act = b.gelu(&hidden);
+        self.fc2.apply(b, &act)
     }
 
     /// Multiply-accumulate operations for `tokens` input rows.
@@ -427,60 +393,6 @@ mod tests {
         assert_eq!(mlp.macs(2), 2 * 6 * 24 * 2);
     }
 
-    /// Compiles a single-input recording and checks the plan output is
-    /// bit-identical to the tape forward.
-    fn assert_plan_matches<F>(x: &NdArray, taped: &Tensor, record: F, exec_rounds: usize)
-    where
-        F: FnOnce(&mut GraphBuilder, NodeId) -> Result<NodeId, TensorError>,
-    {
-        let mut g = GraphBuilder::default();
-        let xin = g.input(x.shape());
-        let out = record(&mut g, xin).unwrap();
-        g.mark_output(out);
-        let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
-        for _ in 0..exec_rounds {
-            plan.execute(&[x.data()], &[]).unwrap();
-            plan.with_output(0, |data| assert_eq!(data, taped.value().data()));
-        }
-    }
-
-    #[test]
-    fn recorded_linear_matches_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(30);
-        let l = Linear::new(&mut rng, 8, 3);
-        let x = NdArray::randn(&mut rng, &[5, 8], 1.0);
-        let taped = l.forward(&Tensor::constant(x.clone())).unwrap();
-        assert_plan_matches(&x, &taped, |g, xin| l.record(g, xin), 2);
-    }
-
-    #[test]
-    fn recorded_conv_matches_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let c = Conv2d::new(&mut rng, 2, 4, 3, 2, 1);
-        let x = NdArray::randn(&mut rng, &[2, 8, 8], 1.0);
-        let taped = c.forward(&Tensor::constant(x.clone())).unwrap();
-        assert_eq!(taped.shape(), vec![4, 4, 4]);
-        assert_plan_matches(&x, &taped, |g, xin| c.record(g, xin), 2);
-    }
-
-    #[test]
-    fn recorded_layer_norm_matches_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let ln = LayerNormLayer::new(6);
-        let x = NdArray::randn(&mut rng, &[4, 6], 1.0);
-        let taped = ln.forward(&Tensor::constant(x.clone())).unwrap();
-        assert_plan_matches(&x, &taped, |g, xin| ln.record(g, xin), 2);
-    }
-
-    #[test]
-    fn recorded_mlp_matches_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let mlp = Mlp::new(&mut rng, 6, 24);
-        let x = NdArray::randn(&mut rng, &[3, 6], 1.0);
-        let taped = mlp.forward(&Tensor::constant(x.clone())).unwrap();
-        assert_plan_matches(&x, &taped, |g, xin| mlp.record(g, xin), 2);
-    }
-
     #[test]
     fn quantized_mlp_tracks_f32_and_is_bit_identical_across_threads() {
         use bliss_tensor::{ExecPlan, QuantCalibration};
@@ -492,7 +404,7 @@ mod tests {
         let build = || {
             let mut g = GraphBuilder::default();
             let xin = g.input(&[3, 6]);
-            let out = mlp.record(&mut g, xin).unwrap();
+            let out = mlp.apply(&mut g, &xin).unwrap();
             g.mark_output(out);
             g
         };
@@ -536,14 +448,5 @@ mod tests {
             });
             assert_eq!(rerun, quantised, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn recorded_conv_rejects_wrong_channels() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let c = Conv2d::new(&mut rng, 2, 4, 3, 1, 1);
-        let mut g = GraphBuilder::default();
-        let xin = g.input(&[3, 8, 8]);
-        assert!(c.record(&mut g, xin).is_err());
     }
 }

@@ -1,9 +1,12 @@
 //! Neural-network building blocks for the BlissCam reproduction.
 //!
 //! Layers are thin, explicitly-parameterised wrappers over
-//! [`bliss_tensor::Tensor`] operations. Networks are built define-by-run:
-//! every forward call records a fresh autograd graph, while the layer structs
-//! own the persistent parameter tensors.
+//! [`bliss_tensor::Tensor`] operations, and the layer structs own the
+//! persistent parameter tensors. Each layer is written once, as an `apply`
+//! method generic over the [`Builder`] trait: on the [`Tape`] engine it
+//! runs define-by-run and records a fresh autograd graph (the `forward`
+//! methods), and on [`bliss_tensor::GraphBuilder`] it records the static
+//! DAG that planned inference compiles.
 //!
 //! The crate provides everything the paper's networks need:
 //!
@@ -42,12 +45,14 @@
 #![warn(missing_docs)]
 
 mod attention;
+mod builder;
 mod init;
 mod layers;
 mod optim;
 mod snapshot;
 
 pub use attention::{MultiHeadAttention, TransformerBlock};
+pub use builder::{Builder, Tape};
 pub use init::{kaiming_normal, xavier_uniform};
 pub use layers::{Conv2d, DepthwiseSeparableConv2d, LayerNormLayer, Linear, Mlp};
 pub use optim::{clip_global_norm, Adam, Sgd};

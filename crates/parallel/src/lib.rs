@@ -618,6 +618,19 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by every test that grows the process-global pool past the
+    /// 4-wide regions most tests use, or reads its size: `cargo test` runs
+    /// tests concurrently, and a sibling growing the pool mid-test breaks a
+    /// size assertion.
+    static POOL_SHAPE: Mutex<()> = Mutex::new(());
+
+    fn pool_shape() -> MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the guarded `()` holds no state
+        // it could have left half-updated.
+        POOL_SHAPE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Forces pool dispatch regardless of region size, so these tests
     /// exercise the persistent-pool path and not the serial cutoff.
@@ -637,6 +650,7 @@ mod tests {
 
     #[test]
     fn par_chunks_deterministic_across_thread_counts() {
+        let _shape = pool_shape();
         for &(len, chunk) in &[(0usize, 3usize), (1, 1), (7, 3), (64, 8), (1000, 17)] {
             let serial = with_thread_count(1, || fill_squares(len, chunk));
             for threads in [2, 3, 8] {
@@ -648,6 +662,7 @@ mod tests {
 
     #[test]
     fn results_identical_on_both_sides_of_the_work_cutoff() {
+        let _shape = pool_shape();
         // The same region, pinned serial (huge cutoff) and pinned pooled
         // (zero cutoff), must produce identical bytes — the cutoff moves
         // execution, never the partition. Covers par_chunks and
@@ -671,6 +686,7 @@ mod tests {
 
     #[test]
     fn small_regions_skip_the_pool_and_large_ones_use_it() {
+        let _shape = pool_shape();
         let caller = std::thread::current().id();
         with_thread_count(4, || {
             // Tiny region, default cutoff: every chunk runs inline on the
@@ -693,6 +709,7 @@ mod tests {
 
     #[test]
     fn par_chunks_visits_every_chunk_exactly_once() {
+        let _shape = pool_shape();
         let mut v = vec![0u32; 103];
         with_thread_count(8, || {
             pooled(|| {
@@ -813,6 +830,7 @@ mod tests {
 
     #[test]
     fn par_zip_rows_matches_serial() {
+        let _shape = pool_shape();
         let run = || {
             let mut a = vec![0.0f32; 9 * 5];
             let mut b = vec![0u8; 9 * 2];
@@ -867,6 +885,7 @@ mod tests {
 
     #[test]
     fn pool_reuses_threads_across_thousands_of_small_regions() {
+        let _shape = pool_shape();
         // Thousands of forced-pool regions must not leak threads: the pool
         // spawns at most MAX_THREADS - 1 persistent workers, and the count
         // stabilises after the first regions.
@@ -899,6 +918,7 @@ mod tests {
 
     #[test]
     fn pool_width_follows_demand_and_is_bounded() {
+        let _shape = pool_shape();
         // An 8-share region needs at most 7 helpers; the pool never exceeds
         // MAX_THREADS - 1 even when asked for the maximum width repeatedly.
         with_thread_count(MAX_THREADS, || {
@@ -914,6 +934,7 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_share_the_pool() {
+        let _shape = pool_shape();
         // Multiple OS threads submitting regions at once must all complete
         // with correct results (the help-drain path guarantees progress even
         // when every worker is busy with another region's shares).

@@ -41,7 +41,10 @@
 //! planned and taped execution bit-identical at any thread count). Plans
 //! are cached per shape class in a [`PlanCache`]; [`inference_mode`] is the
 //! thread-local switch network forwards use to choose the planned path when
-//! no gradient is required.
+//! no gradient is required, and serving runs under it throughout. The
+//! networks do not mirror their forward pass by hand: `bliss_nn` writes
+//! each layer once over a builder trait that both the tape and
+//! [`GraphBuilder`] implement.
 //!
 //! # Example
 //!

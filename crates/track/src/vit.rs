@@ -1,4 +1,4 @@
-use bliss_nn::{Linear, Module, TransformerBlock};
+use bliss_nn::{Builder, Linear, Module, Tape, TransformerBlock};
 use bliss_npu::{GemmShape, WorkloadDesc};
 use bliss_tensor::{
     kernels, recycle_f32_buffer, recycle_index_buffer, take_f32_buffer, take_index_buffer,
@@ -186,6 +186,10 @@ impl PreparedFrame {
     }
 }
 
+/// A batch's active frames stacked for one token pass: their `(values,
+/// mask)` patch rows and their patch-grid indices, in pooled buffers.
+type StagedTokens = (Vec<f32>, Vec<usize>);
+
 /// Output of one sparse segmentation forward pass.
 #[derive(Debug)]
 pub struct SegPrediction {
@@ -323,7 +327,6 @@ pub struct PlannedBatch {
     classes: usize,
     // Scratch reused across calls (never observable between them).
     prepared: Vec<Option<PreparedFrame>>,
-    active: Vec<usize>,
     /// Active frames' token counts — also the plan-cache key.
     token_counts: Vec<usize>,
     refined: Vec<f32>,
@@ -624,7 +627,7 @@ impl SparseViT {
     /// inference**: the patch embedding, every transformer projection/MLP and
     /// the pixel head run as *one* GEMM over all frames' tokens, while
     /// attention stays block-diagonal per frame (see
-    /// [`bliss_nn::TransformerBlock::forward_spans`]). One set of kernel
+    /// [`bliss_nn::TransformerBlock::apply`]). One set of kernel
     /// launches replaces K — the serving runtime's hot path.
     ///
     /// Every output is **bit-identical** to running its frame through
@@ -646,110 +649,158 @@ impl SparseViT {
             return self.forward_batch_planned(frames);
         }
         let p2 = self.config.patch * self.config.patch;
-        let classes = self.config.num_classes;
-        let mut prepared: Vec<Option<PreparedFrame>> = frames
-            .iter()
-            .map(|(image, sampled)| self.prepare(image, sampled))
-            .collect::<Result<_, _>>()?;
-        let active: Vec<usize> = (0..prepared.len())
-            .filter(|&i| prepared[i].is_some())
-            .collect();
-        if active.is_empty() {
+        let mut prepared = Vec::with_capacity(frames.len());
+        let mut token_counts = Vec::with_capacity(frames.len());
+        let Some((token_data, kept_all)) = self.stage(frames, &mut prepared, &mut token_counts)?
+        else {
             return Ok(prepared.into_iter().map(|_| None).collect());
-        }
-
-        // Stack all frames' tokens: one embedding GEMM, block-diagonal spans
-        // for the encoder. The stacking buffers come from the scratch pools:
-        // `token_data` moves into the graph (recycled when it drops) and
-        // `kept_all` is handed back as soon as the gather has copied it.
-        let total_tokens: usize = active
-            .iter()
-            .map(|&i| {
-                prepared[i]
-                    .as_ref()
-                    .expect("active frames are Some")
-                    .kept
-                    .len()
-            })
-            .sum();
-        let mut token_data = take_f32_buffer(total_tokens * 2 * p2);
-        let mut kept_all = take_index_buffer(total_tokens);
-        let mut enc_spans = Vec::with_capacity(active.len());
-        let mut cursor = 0usize;
-        for &i in &active {
-            let f = prepared[i].as_ref().expect("active frames are Some");
-            token_data.extend_from_slice(&f.token_data);
-            kept_all.extend_from_slice(&f.kept);
-            enc_spans.push((cursor, cursor + f.kept.len()));
-            cursor += f.kept.len();
-        }
-        let tokens_in = Tensor::constant(NdArray::from_vec(token_data, &[cursor, 2 * p2])?);
-        let pos = self.pos_embed.gather_rows(&kept_all)?;
+        };
+        // `token_data` moves into the graph (recycled when it drops).
+        let rows = token_data.len() / (2 * p2);
+        let tokens_in = Tensor::constant(NdArray::from_vec(token_data, &[rows, 2 * p2])?);
+        let patch_logits = self.token_pass(&mut Tape, &tokens_in, &kept_all, &token_counts)?;
         recycle_index_buffer(kept_all);
-        let mut x = self.patch_embed.forward(&tokens_in)?.add(&pos)?;
-        for block in &self.encoder {
-            x = block.forward_spans(&x, &enc_spans)?;
-        }
-
-        // Decoder: each frame's token rows get their own copy of the class
-        // embeddings appended; spans grow by `classes` rows.
-        let mut dec_parts = Vec::with_capacity(2 * active.len());
-        let mut dec_spans = Vec::with_capacity(active.len());
-        let mut dec_cursor = 0usize;
-        for &(s, e) in &enc_spans {
-            dec_parts.push(x.slice_rows(s, e)?);
-            dec_parts.push(self.class_embed.clone());
-            dec_spans.push((dec_cursor, dec_cursor + (e - s) + classes));
-            dec_cursor += (e - s) + classes;
-        }
-        let mut d = Tensor::concat_rows(&dec_parts)?;
-        for block in &self.decoder {
-            d = block.forward_spans(&d, &dec_spans)?;
-        }
 
         // Pixel head: one GEMM over every frame's sampled-pixel features
         // (pooled staging, moved into the graph).
-        let mut pixel_counts = Vec::with_capacity(active.len());
-        let mut s_total = 0usize;
-        for &i in &active {
-            let f = prepared[i].as_ref().expect("active frames are Some");
-            pixel_counts.push(f.pixel_indices.len());
-            s_total += f.pixel_indices.len();
-        }
+        let s_total: usize = prepared
+            .iter()
+            .flatten()
+            .map(|f| f.pixel_indices.len())
+            .sum();
         let mut pixel_feat_all = take_f32_buffer(2 * s_total);
-        for &i in &active {
-            let f = prepared[i].as_ref().expect("active frames are Some");
+        for f in prepared.iter().flatten() {
             pixel_feat_all.extend_from_slice(&f.pixel_feat);
         }
         let feats = Tensor::constant(NdArray::from_vec(pixel_feat_all, &[s_total, 2])?);
         let refined_all = self.pixel_head.forward(&feats)?;
 
-        // Per-frame mask decoding: scaled patch-token x class-token product,
-        // expanded to the frame's pixel queries.
-        let mut out: Vec<Option<SegPrediction>> = frames.iter().map(|_| None).collect();
+        // Per-frame mask decoding: each frame's patch logits expanded to its
+        // pixel queries, plus its refinement rows.
+        let mut patch_logits = patch_logits.into_iter();
         let mut pixel_cursor = 0usize;
-        for (slot, &i) in active.iter().enumerate() {
-            let f = prepared[i].take().expect("active frames are Some");
-            let (ds, de) = dec_spans[slot];
-            let t = f.kept.len();
-            let patch_tokens = d.slice_rows(ds, ds + t)?;
-            let class_tokens = d.slice_rows(ds + t, de)?;
-            let patch_logits = patch_tokens
-                .matmul(&class_tokens.transpose()?)?
-                .scale(1.0 / (self.config.dim as f32).sqrt());
-            let expanded = patch_logits.gather_rows(&f.pixel_token)?;
-            let refined =
-                refined_all.slice_rows(pixel_cursor, pixel_cursor + pixel_counts[slot])?;
-            pixel_cursor += pixel_counts[slot];
-            let logits = expanded.add(&refined)?;
-            let pixel_indices = f.recycle();
-            out[i] = Some(SegPrediction {
-                pixel_indices,
-                logits,
-                tokens: t,
-            });
+        prepared
+            .into_iter()
+            .map(|f| {
+                let Some(f) = f else { return Ok(None) };
+                let patch = patch_logits
+                    .next()
+                    .expect("one logits node per active frame");
+                let rows = f.pixel_indices.len();
+                let expanded = patch.gather_rows(&f.pixel_token)?;
+                let refined = refined_all.slice_rows(pixel_cursor, pixel_cursor + rows)?;
+                pixel_cursor += rows;
+                let logits = expanded.add(&refined)?;
+                let tokens = f.kept.len();
+                Ok(Some(SegPrediction {
+                    pixel_indices: f.recycle(),
+                    logits,
+                    tokens,
+                }))
+            })
+            .collect()
+    }
+
+    /// Lowers `frames` into `prepared` (`None` for a frame with no sampled
+    /// pixel) and stacks the active ones for one token pass; `token_counts`
+    /// receives the plan-cache key. `None` when no frame is active.
+    fn stage(
+        &self,
+        frames: &[(&[f32], &[f32])],
+        prepared: &mut Vec<Option<PreparedFrame>>,
+        token_counts: &mut Vec<usize>,
+    ) -> Result<Option<StagedTokens>, TensorError> {
+        prepared.clear();
+        token_counts.clear();
+        for (image, sampled) in frames {
+            prepared.push(self.prepare(image, sampled)?);
         }
-        Ok(out)
+        token_counts.extend(prepared.iter().flatten().map(|f| f.kept.len()));
+        if token_counts.is_empty() {
+            return Ok(None);
+        }
+        let total: usize = token_counts.iter().sum();
+        let p2 = self.config.patch * self.config.patch;
+        let mut token_data = take_f32_buffer(total * 2 * p2);
+        let mut kept_all = take_index_buffer(total);
+        for f in prepared.iter().flatten() {
+            token_data.extend_from_slice(&f.token_data);
+            kept_all.extend_from_slice(&f.kept);
+        }
+        Ok(Some((token_data, kept_all)))
+    }
+
+    /// The cross-frame batched token pass over [`StagedTokens`], written
+    /// once for both engines: patch embedding plus position gather,
+    /// block-diagonal encoder, per-frame class-embedding append, decoder,
+    /// and per-frame scaled patch x class logits (one node per frame). The
+    /// per-pixel refinement tail is not part of it: its row count changes
+    /// every frame, which would defeat the shape-keyed plan cache.
+    fn token_pass<B: Builder>(
+        &self,
+        b: &mut B,
+        tokens: &B::Node,
+        kept: &B::Index,
+        token_counts: &[usize],
+    ) -> Result<Vec<B::Node>, TensorError> {
+        let classes = self.config.num_classes;
+        let pos_table = b.param(&self.pos_embed);
+        let pos = b.gather_rows(&pos_table, kept)?;
+        let emb = self.patch_embed.apply(b, tokens)?;
+        let mut x = b.add(&emb, &pos)?;
+        let mut enc_spans = Vec::with_capacity(token_counts.len());
+        let mut cursor = 0usize;
+        for &t in token_counts {
+            enc_spans.push((cursor, cursor + t));
+            cursor += t;
+        }
+        for block in &self.encoder {
+            x = block.apply(b, &x, &enc_spans)?;
+        }
+
+        // Decoder: each frame's token rows get their own copy of the class
+        // embeddings appended; spans grow by `classes` rows.
+        let cls = b.param(&self.class_embed);
+        let mut dec_parts = Vec::with_capacity(2 * token_counts.len());
+        let mut dec_spans = Vec::with_capacity(token_counts.len());
+        let mut dec_cursor = 0usize;
+        for &(s, e) in &enc_spans {
+            dec_parts.push(b.slice_rows(&x, s, e)?);
+            dec_parts.push(cls.clone());
+            dec_spans.push((dec_cursor, dec_cursor + (e - s) + classes));
+            dec_cursor += (e - s) + classes;
+        }
+        let mut d = b.concat_rows(&dec_parts)?;
+        for block in &self.decoder {
+            d = block.apply(b, &d, &dec_spans)?;
+        }
+
+        let inv = 1.0 / (self.config.dim as f32).sqrt();
+        let mut logits = Vec::with_capacity(token_counts.len());
+        for (&t, &(ds, de)) in token_counts.iter().zip(&dec_spans) {
+            let patch = b.slice_rows(&d, ds, ds + t)?;
+            let cls_rows = b.slice_rows(&d, ds + t, de)?;
+            let cls_t = b.transpose(&cls_rows)?;
+            let mm = b.matmul(&patch, &cls_t)?;
+            logits.push(b.scale(&mm, inv));
+        }
+        Ok(logits)
+    }
+
+    /// The token pass on the graph engine for one span layout, one output
+    /// per active frame. Returns the *builder*: the caller compiles it
+    /// straight ([`ExecPlan::compile`]), instruments it for int8
+    /// calibration, or rewrites it through [`ExecPlan::compile_quantized`].
+    fn batch_graph(&self, token_counts: &[usize]) -> Result<GraphBuilder, TensorError> {
+        let p2 = self.config.patch * self.config.patch;
+        let total: usize = token_counts.iter().sum();
+        let mut g = GraphBuilder::default();
+        let tokens = g.input(&[total, 2 * p2]);
+        let kept = g.index_input(total);
+        for logits in self.token_pass(&mut g, &tokens, &kept, token_counts)? {
+            g.mark_output(logits);
+        }
+        Ok(g)
     }
 
     /// The planned counterpart of the tape `forward_batch` body: runs
@@ -786,71 +837,6 @@ impl SparseViT {
         result
     }
 
-    /// Records the cross-frame batched token pass — patch embedding +
-    /// position gather, block-diagonal encoder, per-frame class-embedding
-    /// append, decoder, per-frame scaled patch-x-class logits — for one
-    /// span layout, mirroring the tape `forward_batch` body op for op, and
-    /// compiles it into an [`ExecPlan`]. One output per active frame.
-    ///
-    /// The per-pixel refinement tail is *not* recorded: its row count
-    /// changes every frame, which would defeat the shape-keyed plan cache,
-    /// so it runs as direct kernel calls on pooled buffers instead (see
-    /// [`SparseViT::forward_batch_into`]).
-    ///
-    /// Returns the *builder*, not a compiled plan: the caller decides
-    /// whether to compile it straight ([`ExecPlan::compile`]), instrument
-    /// it for int8 calibration, or rewrite it through
-    /// [`ExecPlan::compile_quantized`].
-    fn record_batch_builder(&self, token_counts: &[usize]) -> Result<GraphBuilder, TensorError> {
-        let p2 = self.config.patch * self.config.patch;
-        let classes = self.config.num_classes;
-        let total: usize = token_counts.iter().sum();
-        let mut g = GraphBuilder::default();
-        let tokens_in = g.input(&[total, 2 * p2]);
-        let kept_slot = g.index_input(total);
-        let pos_param = g.param(&self.pos_embed);
-        let pos = g.gather_rows(pos_param, kept_slot)?;
-        let emb = self.patch_embed.record(&mut g, tokens_in)?;
-        let mut x = g.add(emb, pos)?;
-
-        let mut enc_spans = Vec::with_capacity(token_counts.len());
-        let mut cursor = 0usize;
-        for &t in token_counts {
-            enc_spans.push((cursor, cursor + t));
-            cursor += t;
-        }
-        for block in &self.encoder {
-            x = block.record_spans(&mut g, x, &enc_spans)?;
-        }
-
-        let cls_param = g.param(&self.class_embed);
-        let mut dec_parts = Vec::with_capacity(2 * token_counts.len());
-        let mut dec_spans = Vec::with_capacity(token_counts.len());
-        let mut dec_cursor = 0usize;
-        for &(s, e) in &enc_spans {
-            dec_parts.push(g.slice_rows(x, s, e)?);
-            dec_parts.push(cls_param);
-            dec_spans.push((dec_cursor, dec_cursor + (e - s) + classes));
-            dec_cursor += (e - s) + classes;
-        }
-        let mut d = g.concat_rows(&dec_parts)?;
-        for block in &self.decoder {
-            d = block.record_spans(&mut g, d, &dec_spans)?;
-        }
-
-        let inv = 1.0 / (self.config.dim as f32).sqrt();
-        for (slot, &(ds, de)) in dec_spans.iter().enumerate() {
-            let t = token_counts[slot];
-            let patch = g.slice_rows(d, ds, ds + t)?;
-            let cls = g.slice_rows(d, ds + t, de)?;
-            let tr = g.transpose(cls)?;
-            let mm = g.matmul(patch, tr)?;
-            let logits = g.scale(mm, inv);
-            g.mark_output(logits);
-        }
-        Ok(g)
-    }
-
     /// Segments a batch of sparse frames through the **compiled planned
     /// path**, writing every result into the reusable `out` holder.
     ///
@@ -872,42 +858,17 @@ impl SparseViT {
         frames: &[(&[f32], &[f32])],
         out: &mut PlannedBatch,
     ) -> Result<(), TensorError> {
-        let p2 = self.config.patch * self.config.patch;
         let classes = self.config.num_classes;
         out.classes = classes;
         out.logits.clear();
         out.frames.clear();
-        out.prepared.clear();
-        out.active.clear();
-        out.token_counts.clear();
-        for (image, sampled) in frames {
-            out.prepared.push(self.prepare(image, sampled)?);
-        }
-        for (i, p) in out.prepared.iter().enumerate() {
-            if p.is_some() {
-                out.active.push(i);
-            }
-        }
-        if out.active.is_empty() {
+        let Some((token_data, kept_all)) =
+            self.stage(frames, &mut out.prepared, &mut out.token_counts)?
+        else {
             out.frames.extend(frames.iter().map(|_| None));
             return Ok(());
-        }
-
-        // Stack active frames' tokens and look up (or compile) the plan for
-        // this span layout.
-        let mut total = 0usize;
-        for &i in &out.active {
-            let t = out.prepared[i].as_ref().expect("active").kept.len();
-            out.token_counts.push(t);
-            total += t;
-        }
-        let mut token_data = take_f32_buffer(total * 2 * p2);
-        let mut kept_all = take_index_buffer(total);
-        for &i in &out.active {
-            let f = out.prepared[i].as_ref().expect("active");
-            token_data.extend_from_slice(&f.token_data);
-            kept_all.extend_from_slice(&f.kept);
-        }
+        };
+        // Look up (or compile) the plan for this span layout.
         let plan = {
             let mut plans = self.plans.borrow_mut();
             let counts = &out.token_counts;
@@ -917,13 +878,12 @@ impl SparseViT {
                     .clone()
                     .expect("use_int8 implies a finished calibration spec");
                 plans.qcache.get_or_build(counts, || {
-                    let g = self.record_batch_builder(counts)?;
-                    ExecPlan::compile_quantized(g, &spec)
+                    ExecPlan::compile_quantized(self.batch_graph(counts)?, &spec)
                 })?
             } else {
-                plans.cache.get_or_build(counts, || {
-                    ExecPlan::compile(self.record_batch_builder(counts)?)
-                })?
+                plans
+                    .cache
+                    .get_or_build(counts, || ExecPlan::compile(self.batch_graph(counts)?))?
             }
         };
         plan.execute(&[&token_data], &[&kept_all])?;
@@ -932,18 +892,15 @@ impl SparseViT {
 
         // Pixel refinement head: one GEMM over every frame's sampled-pixel
         // features, staged in retained buffers.
-        let mut s_total = 0usize;
-        for &i in &out.active {
-            s_total += out.prepared[i]
-                .as_ref()
-                .expect("active")
-                .pixel_indices
-                .len();
-        }
+        let s_total: usize = out
+            .prepared
+            .iter()
+            .flatten()
+            .map(|f| f.pixel_indices.len())
+            .sum();
         out.pixel_feat_all.clear();
         out.pixel_feat_all.reserve(2 * s_total);
-        for &i in &out.active {
-            let f = out.prepared[i].as_ref().expect("active");
+        for f in out.prepared.iter().flatten() {
             out.pixel_feat_all.extend_from_slice(&f.pixel_feat);
         }
         let (pw, pb) = {
@@ -970,12 +927,11 @@ impl SparseViT {
         out.logits.resize(s_total * classes, 0.0);
         let mut pixel_cursor = 0usize;
         let mut slot = 0usize;
-        for i in 0..frames.len() {
-            if out.prepared[i].is_none() {
+        for f in out.prepared.iter_mut().map(Option::take) {
+            let Some(f) = f else {
                 out.frames.push(None);
                 continue;
-            }
-            let f = out.prepared[i].take().expect("active");
+            };
             let t = f.kept.len();
             let rows = f.pixel_indices.len();
             let off = pixel_cursor * classes;
@@ -1035,25 +991,13 @@ impl SparseViT {
     /// Returns shape errors if a buffer does not match the configured
     /// frame, or plan compile/execute errors.
     pub fn observe_int8_calibration(&self, frames: &[(&[f32], &[f32])]) -> Result<(), TensorError> {
-        let p2 = self.config.patch * self.config.patch;
         let mut prepared = Vec::with_capacity(frames.len());
-        for (image, sampled) in frames {
-            if let Some(f) = self.prepare(image, sampled)? {
-                prepared.push(f);
-            }
-        }
-        if prepared.is_empty() {
+        let mut token_counts = Vec::with_capacity(frames.len());
+        let Some((token_data, kept_all)) = self.stage(frames, &mut prepared, &mut token_counts)?
+        else {
             return Ok(());
-        }
-        let token_counts: Vec<usize> = prepared.iter().map(|f| f.kept.len()).collect();
-        let total: usize = token_counts.iter().sum();
-        let mut token_data = take_f32_buffer(total * 2 * p2);
-        let mut kept_all = take_index_buffer(total);
-        for f in &prepared {
-            token_data.extend_from_slice(&f.token_data);
-            kept_all.extend_from_slice(&f.kept);
-        }
-        let mut g = self.record_batch_builder(&token_counts)?;
+        };
+        let mut g = self.batch_graph(&token_counts)?;
         let taps = QuantCalibration::instrument(&mut g);
         let plan = ExecPlan::compile(g)?;
         plan.execute(&[&token_data], &[&kept_all])?;
@@ -1064,7 +1008,7 @@ impl SparseViT {
         }
         recycle_f32_buffer(token_data);
         recycle_index_buffer(kept_all);
-        for f in prepared {
+        for f in prepared.into_iter().flatten() {
             drop(f.recycle());
         }
         Ok(())
@@ -1084,7 +1028,7 @@ impl SparseViT {
     /// Returns `InvalidArgument` if no calibration is in progress or no
     /// batch was observed.
     pub fn finish_int8_calibration(&self) -> Result<usize, TensorError> {
-        let g = self.record_batch_builder(&[1])?;
+        let g = self.batch_graph(&[1])?;
         let mut plans = self.plans.borrow_mut();
         let calib = plans
             .calib
@@ -1368,85 +1312,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_is_thread_count_invariant() {
-        let vit = tiny();
-        let a = synth_frame(5, 0.1);
-        let b = synth_frame(6, 0.3);
-        let batch: Vec<(&[f32], &[f32])> = [&a, &b].iter().map(|f| (&f.0[..], &f.1[..])).collect();
-        let run = || {
-            vit.forward_batch(&batch)
-                .unwrap()
-                .into_iter()
-                .map(|p| p.unwrap().logits.value().data().to_vec())
-                .collect::<Vec<_>>()
-        };
-        let serial = bliss_parallel::with_thread_count(1, run);
-        for threads in [2, 8] {
-            assert_eq!(
-                serial,
-                bliss_parallel::with_thread_count(threads, run),
-                "t={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn paper_config_dimensions() {
         let cfg = ViTConfig::paper();
         assert_eq!(cfg.grid_dims(), (40, 25));
         assert_eq!(cfg.num_patches(), 1000);
         assert_eq!(cfg.enc_depth, 12);
         assert_eq!(cfg.dec_depth, 2);
-    }
-
-    #[test]
-    fn planned_forward_batch_matches_tape_bitwise() {
-        let vit = tiny();
-        let dense = synth_frame(1, 1.0);
-        let sparse = synth_frame(2, 0.05);
-        let empty = (vec![0.0f32; 1200], vec![0.0f32; 1200]);
-        let frames = [&dense, &sparse, &empty];
-        let batch: Vec<(&[f32], &[f32])> = frames.iter().map(|f| (&f.0[..], &f.1[..])).collect();
-        let taped = vit.forward_batch(&batch).unwrap();
-        let planned = bliss_tensor::inference_mode(|| vit.forward_batch(&batch)).unwrap();
-        for (i, (t, p)) in taped.iter().zip(&planned).enumerate() {
-            match (t, p) {
-                (Some(t), Some(p)) => {
-                    assert_eq!(t.pixel_indices, p.pixel_indices, "frame {i}");
-                    assert_eq!(t.tokens, p.tokens, "frame {i}");
-                    assert_eq!(
-                        t.logits.value().data(),
-                        p.logits.value().data(),
-                        "frame {i} logits must be bit-identical"
-                    );
-                }
-                (None, None) => {}
-                _ => panic!("frame {i}: planned/tape presence disagrees"),
-            }
-        }
-    }
-
-    #[test]
-    fn planned_forward_batch_is_thread_count_invariant() {
-        let vit = tiny();
-        let a = synth_frame(5, 0.1);
-        let b = synth_frame(6, 0.3);
-        let batch: Vec<(&[f32], &[f32])> = [&a, &b].iter().map(|f| (&f.0[..], &f.1[..])).collect();
-        let run = || {
-            bliss_tensor::inference_mode(|| vit.forward_batch(&batch))
-                .unwrap()
-                .into_iter()
-                .map(|p| p.unwrap().logits.value().data().to_vec())
-                .collect::<Vec<_>>()
-        };
-        let serial = bliss_parallel::with_thread_count(1, run);
-        for threads in [2, 8] {
-            assert_eq!(
-                serial,
-                bliss_parallel::with_thread_count(threads, run),
-                "t={threads}"
-            );
-        }
     }
 
     #[test]
@@ -1617,16 +1488,5 @@ mod tests {
         );
         // Disabling is always allowed.
         vit.set_int8(false).unwrap();
-    }
-
-    #[test]
-    fn planned_solo_forward_matches_tape() {
-        let vit = tiny();
-        let (image, mask) = synth_frame(11, 0.4);
-        let taped = vit.forward(&image, &mask).unwrap().unwrap();
-        let planned = bliss_tensor::inference_mode(|| vit.forward(&image, &mask))
-            .unwrap()
-            .unwrap();
-        assert_eq!(taped.logits.value().data(), planned.logits.value().data());
     }
 }
