@@ -207,7 +207,7 @@ impl SparseFrontEnd {
             self.width * self.height,
             "front-end snapshot geometry mismatch"
         );
-        self.sensor = DigitalPixelSensor::restore(*self.sensor.config(), &snapshot.sensor);
+        self.sensor.restore(&snapshot.sensor);
         self.rng = StdRng::from_state(snapshot.rng);
         match (&mut self.estimator, &snapshot.estimator) {
             (Some(est), Some(snap)) => est.restore(snap),

@@ -11,7 +11,10 @@
 //!   from the host's newest parseable checkpoint, re-placed across the
 //!   surviving hosts by the fleet's [`PlacementPolicy`](crate::PlacementPolicy)
 //!   (or restarted in place when no other host survives — the "rejoin"
-//!   case). Progress past the checkpoint is **replayed**, not lost.
+//!   case). Progress past the checkpoint is **replayed**, not lost. A
+//!   checkpoint holds the shard's per-session state only
+//!   ([`SessionSnapshot`]s): the weights are the fleet's shared replica
+//!   and the adopting host keeps its own clock, so neither is written.
 //! * **Slow**: a multiplicative cycle-budget dilation on the host's
 //!   inference launches for a virtual-time window (the latency model's
 //!   [`StepOptions::time_dilation`](bliss_serve::StepOptions) path).
@@ -41,9 +44,7 @@
 
 use crate::report::FaultStats;
 use crate::runtime::{FleetConfig, FleetOutcome, FleetRuntime, FleetState};
-use bliss_serve::{
-    ServeSnapshot, SessionConfig, SessionProgress, SessionSnapshot, SnapshotError, StepOptions,
-};
+use bliss_serve::{SessionConfig, SessionProgress, SessionSnapshot, SnapshotError, StepOptions};
 use bliss_tensor::TensorError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -341,7 +342,10 @@ pub struct ChaosOutcome {
     pub log: Vec<InjectedFault>,
 }
 
-/// A stored per-host checkpoint.
+/// A stored per-host checkpoint: the JSON of the shard's
+/// `Vec<SessionSnapshot>`, the only state a failover reads back. Every host
+/// serves the fleet's one model replica and the adopting shard keeps its own
+/// scheduler clock, so neither the weights nor the shard's clock are stored.
 struct Checkpoint {
     seq: usize,
     taken_s: f64,
@@ -706,8 +710,8 @@ impl FleetRuntime {
         })
     }
 
-    /// Captures one host's shard. A corrupt write truncates the payload so
-    /// a later read genuinely fails to parse.
+    /// Captures one host's sessions (see [`Checkpoint`]). A corrupt write
+    /// truncates the payload so a later read genuinely fails to parse.
     fn take_checkpoint(
         &self,
         state: &FleetState,
@@ -716,10 +720,10 @@ impl FleetRuntime {
         taken_s: f64,
         corrupt: bool,
     ) {
-        let snap = self
+        let mut json = self
             .runtime
-            .snapshot(&state.shard_cfgs[host], &state.shards[host]);
-        let mut json = snap.to_json();
+            .snapshot_sessions(&state.shards[host])
+            .to_json();
         if corrupt {
             json.truncate(json.len() / 2);
         }
@@ -758,27 +762,27 @@ impl FleetRuntime {
         // Newest → oldest: the first checkpoint that parses wins. Corrupt
         // reads surface the host-context SnapshotError and fall through.
         let mut detail = String::new();
-        let mut restored: Option<(ServeSnapshot, usize, f64)> = None;
+        let mut restored: Option<(Vec<SessionSnapshot>, usize, f64)> = None;
         for ck in hosts[host].checkpoints.iter().rev() {
-            match ServeSnapshot::parse(&ck.json) {
-                Ok(snap) => {
-                    restored = Some((snap, ck.seq, ck.taken_s));
+            match Vec::<SessionSnapshot>::from_json(&ck.json) {
+                Ok(sessions) => {
+                    restored = Some((sessions, ck.seq, ck.taken_s));
                     break;
                 }
                 Err(e) => {
                     faults.corrupt_checkpoint_reads += 1;
-                    let err = SnapshotError::for_host(host, e);
+                    let err = SnapshotError::for_host(host, SnapshotError::Json(e));
                     detail.push_str(&format!("checkpoint {} unreadable ({err}); ", ck.seq));
                 }
             }
         }
-        let (snap, ck_seq, ck_taken) =
+        let (sessions, ck_seq, ck_taken) =
             restored.expect("an intact checkpoint always exists (checkpoint 0 is never corrupted)");
 
         // Replay accounting: progress recorded live minus progress in the
         // checkpoint is re-served on the adoptive hosts.
         let mut replayed = 0usize;
-        for ss in &snap.sessions {
+        for ss in &sessions {
             let live = live_progress
                 .iter()
                 .find(|p| p.id == ss.config.id)
@@ -786,7 +790,7 @@ impl FleetRuntime {
             replayed += live.saturating_sub(ss.records.len());
         }
         faults.frames_replayed += replayed;
-        faults.sessions_recovered += snap.sessions.len();
+        faults.sessions_recovered += sessions.len();
 
         // Kill the shard. The dead host keeps an empty state so host
         // indices stay aligned; `alive` gates it out of stepping and
@@ -807,13 +811,12 @@ impl FleetRuntime {
             hosts[host].alive = false;
             survivors
         };
-        let configs: Vec<SessionConfig> = snap.sessions.iter().map(|s| s.config).collect();
+        let configs: Vec<SessionConfig> = sessions.iter().map(|s| s.config).collect();
         let routed = cfg.placement.assign(&configs, targets.len());
         let not_before = crash_s + chaos.failover_delay_s;
         let mut moved: Vec<(usize, usize)> = Vec::new(); // (session id, first replay frame)
         for (ti, &target) in targets.iter().enumerate() {
-            let group: Vec<SessionSnapshot> = snap
-                .sessions
+            let group: Vec<SessionSnapshot> = sessions
                 .iter()
                 .zip(&routed)
                 .filter(|&(_, &r)| r == ti)

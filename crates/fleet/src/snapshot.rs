@@ -10,15 +10,16 @@
 //! over the k-way shard composition (hosts are independent, so per-shard
 //! bit-identity composes).
 //!
-//! The version field is checked before full deserialisation, exactly like
-//! the serve layer's ([`bliss_serve::SNAPSHOT_VERSION`] governs both — the
-//! per-host payloads embed their own version, and the fleet envelope
-//! re-checks it at the top level so a stale file fails loudly at the door).
+//! The version field is checked before full deserialisation by the same
+//! [`bliss_serve::parse_versioned`] the serve layer uses
+//! ([`bliss_serve::SNAPSHOT_VERSION`] governs both — the per-host payloads
+//! embed their own version, and the fleet envelope re-checks it at the top
+//! level so a stale file fails loudly at the door).
 
 use crate::placement::PlacementPolicy;
 use crate::runtime::{FleetConfig, FleetRuntime, FleetState};
 use bliss_serve::{ServeSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use serde::{Deserialize, JsonValue, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// A whole fleet frozen at a batch boundary on every host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,16 +46,7 @@ impl FleetSnapshot {
     /// [`SnapshotError::Version`] on a version mismatch,
     /// [`SnapshotError::Json`] on malformed JSON.
     pub fn parse(json: &str) -> Result<Self, SnapshotError> {
-        let value = JsonValue::parse(json).map_err(SnapshotError::Json)?;
-        let version_field = value.field("version").map_err(SnapshotError::Json)?;
-        let version = u32::from_json_value(version_field).map_err(SnapshotError::Json)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Version {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        Self::from_json_value(&value).map_err(SnapshotError::Json)
+        bliss_serve::parse_versioned(json)
     }
 }
 
@@ -121,5 +113,22 @@ impl FleetRuntime {
             shards,
         };
         Ok((fleet, cfg, state))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::JsonError;
+
+    #[test]
+    fn million_deep_nesting_is_a_json_error() {
+        for unit in ["[", "{\"version\":"] {
+            let json = unit.repeat(1_000_000);
+            assert!(matches!(
+                FleetSnapshot::parse(&json),
+                Err(SnapshotError::Json(JsonError::Syntax { .. }))
+            ));
+        }
     }
 }

@@ -185,7 +185,8 @@ impl ReadoutResult {
 /// Everything else a [`DigitalPixelSensor`] carries — comparator offsets,
 /// SRAM cell biases, the θ-LUT, the conversion-noise seed — is a permanent
 /// property of the (simulated) die, re-derived bit-identically from the
-/// [`SensorConfig`] seed by [`DigitalPixelSensor::restore`].
+/// [`SensorConfig`] seed when the sensor is built, which is why
+/// [`DigitalPixelSensor::restore`] only writes the fields below.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorSnapshot {
     /// Previous frame held on the auto-zero capacitors.
@@ -255,20 +256,22 @@ impl DigitalPixelSensor {
         }
     }
 
-    /// Rebuilds a sensor from its configuration and a snapshot.
+    /// Overwrites the sensor's serving-time state with a snapshot taken on
+    /// a sensor of the same [`SensorConfig`].
     ///
-    /// Runs the normal construction path (re-deriving every die property
-    /// from the config seed, including the θ-LUT calibration), then
-    /// restores the dynamic state, so the result continues the interrupted
-    /// stream bit-identically.
+    /// Only the dynamic state is written; the die properties (comparator
+    /// offsets, SRAM cell biases, the θ-LUT calibration) already match
+    /// because they are pure functions of the config, so restoring never
+    /// re-runs the calibration. The result continues the interrupted stream
+    /// bit-identically.
     ///
     /// # Panics
     ///
-    /// Panics when a snapshotted frame buffer's length does not match the
-    /// configured pixel count, or when the RNG state is all zeros — either
+    /// Panics when a snapshotted frame buffer's length does not match this
+    /// sensor's pixel count, or when the RNG state is all zeros — either
     /// means the snapshot belongs to a different config or is corrupt.
-    pub fn restore(config: SensorConfig, snapshot: &SensorSnapshot) -> Self {
-        let pixels = config.pixels();
+    pub fn restore(&mut self, snapshot: &SensorSnapshot) {
+        let pixels = self.config.pixels();
         for buf in [&snapshot.held, &snapshot.current].into_iter().flatten() {
             assert_eq!(
                 buf.len(),
@@ -276,12 +279,10 @@ impl DigitalPixelSensor {
                 "sensor snapshot frame buffer does not match the configured pixel count"
             );
         }
-        let mut sensor = Self::new(config);
-        sensor.held = snapshot.held.clone();
-        sensor.current = snapshot.current.clone();
-        sensor.sram_rng.set_rng_state(snapshot.sram_rng);
-        sensor.readouts = snapshot.readouts;
-        sensor
+        self.sram_rng.set_rng_state(snapshot.sram_rng);
+        self.held.clone_from(&snapshot.held);
+        self.current.clone_from(&snapshot.current);
+        self.readouts = snapshot.readouts;
     }
 
     /// The sensor configuration.
@@ -770,7 +771,9 @@ mod tests {
         let json = snap.to_json();
         let parsed = SensorSnapshot::from_json(&json).expect("snapshot parses");
         assert_eq!(parsed, snap);
-        let mut restored = DigitalPixelSensor::restore(SensorConfig::miniature(16, 12), &parsed);
+        // A freshly built sensor of the same config, restored in place.
+        let mut restored = sensor(16, 12);
+        restored.restore(&parsed);
 
         for s in [&mut live, &mut restored] {
             s.expose(&img2);
@@ -789,6 +792,6 @@ mod tests {
         let mut s = sensor(8, 8);
         s.expose(&[0.5; 64]);
         let snap = s.snapshot();
-        let _ = DigitalPixelSensor::restore(SensorConfig::miniature(4, 4), &snap);
+        sensor(4, 4).restore(&snap);
     }
 }

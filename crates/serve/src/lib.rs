@@ -73,4 +73,6 @@ pub use runtime::{
     ServeConfig, ServeOutcome, ServeRuntime, ServeState, SessionProgress, StepOptions, StepStats,
 };
 pub use session::{FrameRecord, SessionConfig, SessionTrace};
-pub use snapshot::{ServeSnapshot, SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{
+    parse_versioned, ServeSnapshot, SessionSnapshot, SnapshotError, SNAPSHOT_VERSION,
+};

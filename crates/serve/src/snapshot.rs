@@ -150,17 +150,31 @@ impl ServeSnapshot {
     /// [`SnapshotError::Json`] on malformed JSON or a shape that does not
     /// deserialise.
     pub fn parse(json: &str) -> Result<Self, SnapshotError> {
-        let value = JsonValue::parse(json).map_err(SnapshotError::Json)?;
-        let version_field = value.field("version").map_err(SnapshotError::Json)?;
-        let version = u32::from_json_value(version_field).map_err(SnapshotError::Json)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Version {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        Self::from_json_value(&value).map_err(SnapshotError::Json)
+        parse_versioned(json)
     }
+}
+
+/// Parses a versioned snapshot document (a [`ServeSnapshot`], or a fleet
+/// snapshot that wraps them): its top-level `version` field is checked
+/// against [`SNAPSHOT_VERSION`] **before** the rest is deserialised, so a
+/// stale file fails loudly at the door.
+///
+/// # Errors
+///
+/// [`SnapshotError::Version`] on a version mismatch,
+/// [`SnapshotError::Json`] on malformed JSON, a missing or non-integer
+/// `version`, or a shape that does not deserialise as `T`.
+pub fn parse_versioned<T: for<'de> Deserialize<'de>>(json: &str) -> Result<T, SnapshotError> {
+    let value = JsonValue::parse(json).map_err(SnapshotError::Json)?;
+    let version_field = value.field("version").map_err(SnapshotError::Json)?;
+    let version = u32::from_json_value(version_field).map_err(SnapshotError::Json)?;
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::Version {
+            found: version,
+            supported: SNAPSHOT_VERSION,
+        });
+    }
+    T::from_json_value(&value).map_err(SnapshotError::Json)
 }
 
 impl ServeRuntime {
@@ -179,21 +193,29 @@ impl ServeRuntime {
             roi_params: snapshot_params(&self.roi_net),
             host_free_s: state.host_free_s,
             host_busy_s: state.host_busy_s,
-            sessions: state
-                .sessions
-                .iter()
-                .map(|s| SessionSnapshot {
-                    config: s.config,
-                    front: s.front.snapshot(),
-                    next_frame: s.next_frame,
-                    prev_completion_s: s
-                        .prev_completion_s
-                        .is_finite()
-                        .then_some(s.prev_completion_s),
-                    records: s.records.clone(),
-                })
-                .collect(),
+            sessions: self.snapshot_sessions(state),
         }
+    }
+
+    /// Captures only the per-session state of the run at its current batch
+    /// boundary: what [`ServeRuntime::adopt_sessions`] needs to move the
+    /// sessions onto a runtime serving the same weights. No weights are
+    /// copied.
+    pub fn snapshot_sessions(&self, state: &ServeState) -> Vec<SessionSnapshot> {
+        state
+            .sessions
+            .iter()
+            .map(|s| SessionSnapshot {
+                config: s.config,
+                front: s.front.snapshot(),
+                next_frame: s.next_frame,
+                prev_completion_s: s
+                    .prev_completion_s
+                    .is_finite()
+                    .then_some(s.prev_completion_s),
+                records: s.records.clone(),
+            })
+            .collect()
     }
 
     /// Rebuilds a runtime and its in-flight state from a snapshot.
@@ -325,4 +347,20 @@ fn restore_session(
     session.prev_completion_s = snap.prev_completion_s.unwrap_or(f64::NEG_INFINITY);
     session.records = snap.records.clone();
     Ok(session)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn million_deep_nesting_is_a_json_error() {
+        for unit in ["[", "{\"version\":"] {
+            let json = unit.repeat(1_000_000);
+            assert!(matches!(
+                ServeSnapshot::parse(&json),
+                Err(SnapshotError::Json(JsonError::Syntax { .. }))
+            ));
+        }
+    }
 }

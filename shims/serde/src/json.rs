@@ -11,6 +11,12 @@
 //! NaN/Infinity tokens, and nothing but whitespace after the top-level
 //! value (trailing garbage is a [`JsonError::Syntax`] error, which the
 //! malformed-input proptests pin).
+//!
+//! Parsing runs in time linear in the input: every byte is looked at a
+//! bounded number of times, and a string's unescaped runs are copied as
+//! whole slices. Arrays and objects may nest at most [`MAX_DEPTH`] (128)
+//! levels deep; deeper input is a [`JsonError::Syntax`] error at the
+//! opening bracket that crosses the limit, not a stack overflow.
 
 use std::fmt;
 
@@ -100,8 +106,10 @@ impl JsonValue {
     /// Parses a complete JSON document (strict: whitespace-only suffix).
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -183,9 +191,17 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts, the same
+/// limit as `serde_json`. The parser recurses once per level, so the limit
+/// keeps hostile input from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,8 +237,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -231,6 +247,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("expected a JSON value")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one level deeper, failing at its
+    /// opening byte past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &'static str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -297,6 +328,16 @@ impl<'a> Parser<'a> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            // One scan over the run of bytes that need no decoding. It
+            // starts after `"` or an escape and stops at `"`, `\`, a control
+            // byte or the end of input, all ASCII, so the slice is valid
+            // UTF-8 and the whole string costs one pass.
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            out.push_str(&self.input[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -320,18 +361,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape character")),
                     }
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(_) => {
-                    // Consume one complete UTF-8 scalar (input is &str, so
-                    // the byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
