@@ -40,16 +40,13 @@
 //! its inner dimension) — and runs **serially on the calling thread** when
 //! the estimate falls below [`min_parallel_work`]. The cutoff changes only
 //! *where* the closures run, never the partition, so results remain
-//! bit-identical on both sides of the threshold; it is tunable via the
-//! `BLISS_PAR_THRESHOLD` environment variable or scoped
-//! [`with_min_parallel_work`] (the benches force `0` to measure pure
-//! dispatch).
+//! bit-identical on both sides of the threshold; scoped
+//! [`with_min_parallel_work`] overrides it (the benches force `0` to measure
+//! pure dispatch).
 //!
 //! [`par_map_collect`] and [`par_map_mut`] fan out *items* (attention heads,
-//! serving sessions) rather than elements; their plain forms assume every
-//! item is at least a threshold's worth of work and always parallelise —
-//! pass a per-item cost with the `_with_cost` variants when items are cheap
-//! (the ViT's patch-occupancy scan does).
+//! serving sessions) rather than elements; they assume every item is at
+//! least a threshold's worth of work and always parallelise.
 //!
 //! # Example
 //!
@@ -58,7 +55,7 @@
 //! let mut data: Vec<f32> = (0..40).map(|x| x as f32).collect();
 //! let expected: Vec<f32> = data.iter().map(|x| x * x).collect();
 //!
-//! bliss_parallel::par_map_rows(&mut data, 4, |_row, slice| {
+//! bliss_parallel::par_chunks(&mut data, 4, |_row, slice| {
 //!     for v in slice.iter_mut() {
 //!         *v *= *v;
 //!     }
@@ -71,7 +68,7 @@
 //! let mut again: Vec<f32> = (0..40).map(|x| x as f32).collect();
 //! bliss_parallel::with_thread_count(8, || {
 //!     bliss_parallel::with_min_parallel_work(0, || {
-//!         bliss_parallel::par_map_rows(&mut again, 4, |_row, slice| {
+//!         bliss_parallel::par_chunks(&mut again, 4, |_row, slice| {
 //!             for v in slice.iter_mut() {
 //!                 *v *= *v;
 //!             }
@@ -123,16 +120,6 @@ fn env_thread_count() -> usize {
     })
 }
 
-fn env_min_parallel_work() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("BLISS_PAR_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MIN_PARALLEL_WORK)
-    })
-}
-
 /// The number of worker threads a parallel region started on this thread
 /// will use.
 ///
@@ -153,15 +140,12 @@ pub fn thread_count() -> usize {
     }
 }
 
-/// The total-work cutoff below which regions run serially.
-///
-/// Resolution order: [`with_min_parallel_work`] override →
-/// `BLISS_PAR_THRESHOLD` environment variable →
-/// [`DEFAULT_MIN_PARALLEL_WORK`].
+/// The total-work cutoff below which regions run serially: the
+/// [`with_min_parallel_work`] override, else [`DEFAULT_MIN_PARALLEL_WORK`].
 pub fn min_parallel_work() -> usize {
     WORK_CUTOFF_OVERRIDE
         .with(Cell::get)
-        .unwrap_or_else(env_min_parallel_work)
+        .unwrap_or(DEFAULT_MIN_PARALLEL_WORK)
 }
 
 /// Restores the previous override when a scoped override ends, even on panic.
@@ -210,7 +194,7 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// // Force pool dispatch for a tiny region; the bytes cannot change.
 /// let run = || {
 ///     let mut v = vec![1.0f32; 8];
-///     bliss_parallel::par_map_rows(&mut v, 2, |r, row| row[0] += r as f32);
+///     bliss_parallel::par_chunks(&mut v, 2, |r, row| row[0] += r as f32);
 ///     v
 /// };
 /// let serial = run();
@@ -323,57 +307,14 @@ where
     });
 }
 
-/// Applies `f` to each `row_len`-sized row of `data` in parallel.
-///
-/// Identical to [`par_chunks`] with `chunk_len = row_len`; provided as the
-/// natural vocabulary for row-major matrix kernels. `data.len()` does not
-/// need to be a multiple of `row_len` (the last row may be partial).
-///
-/// # Panics
-///
-/// Panics if `row_len == 0`, or if any worker closure panics.
-///
-/// # Example
-///
-/// ```
-/// // Normalise each row of a 3x4 matrix by its first element.
-/// let mut m = vec![2.0f32, 4.0, 6.0, 8.0, 1.0, 3.0, 5.0, 7.0, 4.0, 4.0, 8.0, 2.0];
-/// bliss_parallel::par_map_rows(&mut m, 4, |_r, row| {
-///     let head = row[0];
-///     for v in row.iter_mut() {
-///         *v /= head;
-///     }
-/// });
-/// assert_eq!(&m[..4], &[1.0, 2.0, 3.0, 4.0]);
-/// ```
-pub fn par_map_rows<T, F>(data: &mut [T], row_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunks_with_cost(data, row_len, 1, f);
-}
-
-/// [`par_map_rows`] with an explicit per-element cost hint (see
-/// [`par_chunks_with_cost`]).
-///
-/// # Panics
-///
-/// Panics if `row_len == 0`, or if any worker closure panics.
-pub fn par_map_rows_with_cost<T, F>(data: &mut [T], row_len: usize, cost_per_elem: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunks_with_cost(data, row_len, cost_per_elem, f);
-}
-
 /// Applies `f` to matching rows of two parallel buffers.
 ///
 /// `a` is split into `row_len_a`-sized rows and `b` into `row_len_b`-sized
 /// rows; both must contain the same number of rows. Used by kernels that
 /// produce two per-pixel outputs at once (e.g. the eye renderer's radiance
-/// image and class mask).
+/// image and class mask). `cost_per_elem` is the work hint of
+/// [`par_chunks_with_cost`], over both buffers; the eye renderer passes a
+/// high cost because each output pixel runs full ellipse geometry.
 ///
 /// # Panics
 ///
@@ -386,7 +327,7 @@ where
 /// ```
 /// let mut img = vec![0.0f32; 6];
 /// let mut mask = vec![0u8; 3];
-/// bliss_parallel::par_zip_rows(&mut img, 2, &mut mask, 1, |row, i, m| {
+/// bliss_parallel::par_zip_rows_with_cost(&mut img, 2, &mut mask, 1, 1, |row, i, m| {
 ///     i[0] = row as f32;
 ///     i[1] = row as f32 + 0.5;
 ///     m[0] = row as u8;
@@ -394,23 +335,6 @@ where
 /// assert_eq!(img, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]);
 /// assert_eq!(mask, [0, 1, 2]);
 /// ```
-pub fn par_zip_rows<A, B, F>(a: &mut [A], row_len_a: usize, b: &mut [B], row_len_b: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    par_zip_rows_with_cost(a, row_len_a, b, row_len_b, 1, f);
-}
-
-/// [`par_zip_rows`] with an explicit per-element cost hint (see
-/// [`par_chunks_with_cost`]); the work estimate covers both buffers. The eye
-/// renderer passes a high cost because each output pixel runs full ellipse
-/// geometry.
-///
-/// # Panics
-///
-/// Same conditions as [`par_zip_rows`].
 #[allow(clippy::too_many_arguments)]
 pub fn par_zip_rows_with_cost<A, B, F>(
     a: &mut [A],
@@ -484,8 +408,7 @@ pub fn par_zip_rows_with_cost<A, B, F>(
 /// e.g. one attention head's output, or one serving session's step. Results
 /// are returned in index order regardless of completion order, so the output
 /// is independent of the thread count. Items are assumed expensive (the
-/// region always dispatches); use [`par_map_collect_with_cost`] when they
-/// are not.
+/// region always dispatches).
 ///
 /// # Panics
 ///
@@ -503,28 +426,11 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    par_map_collect_with_cost(n, usize::MAX, f)
-}
-
-/// [`par_map_collect`] with an explicit per-item cost hint: the region runs
-/// serially when `n * cost_per_item` falls below [`min_parallel_work`]
-/// (results are identical either way). The ViT's patch-occupancy scan passes
-/// its patch area.
-///
-/// # Panics
-///
-/// Panics if any worker closure panics.
-pub fn par_map_collect_with_cost<R, F>(n: usize, cost_per_item: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
     if n == 0 {
         return Vec::new();
     }
     let threads = thread_count().min(n);
-    let work = n.saturating_mul(cost_per_item.max(1));
-    if threads <= 1 || work < min_parallel_work() {
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
     let per_share = n.div_ceil(threads);
@@ -666,7 +572,8 @@ mod tests {
         // The same region, pinned serial (huge cutoff) and pinned pooled
         // (zero cutoff), must produce identical bytes — the cutoff moves
         // execution, never the partition. Covers par_chunks and
-        // par_map_collect, the two primitives with cost-gated dispatch.
+        // par_zip_rows_with_cost, the two primitives with cost-gated
+        // dispatch.
         let chunks = |cutoff: usize| {
             with_thread_count(8, || {
                 with_min_parallel_work(cutoff, || fill_squares(1000, 17))
@@ -674,14 +581,19 @@ mod tests {
         };
         assert_eq!(chunks(usize::MAX), chunks(0));
 
-        let collect = |cutoff: usize| {
+        let zipped = |cutoff: usize| {
             with_thread_count(8, || {
                 with_min_parallel_work(cutoff, || {
-                    par_map_collect_with_cost(100, 3, |i| (i as f32).cos())
+                    let (mut a, mut b) = (vec![0.0f32; 300], vec![0u32; 100]);
+                    par_zip_rows_with_cost(&mut a, 3, &mut b, 1, 3, |row, ra, rb| {
+                        ra.fill((row as f32).cos());
+                        rb[0] = row as u32;
+                    });
+                    (a, b)
                 })
             })
         };
-        assert_eq!(collect(usize::MAX), collect(0));
+        assert_eq!(zipped(usize::MAX), zipped(0));
     }
 
     #[test]
@@ -834,7 +746,7 @@ mod tests {
         let run = || {
             let mut a = vec![0.0f32; 9 * 5];
             let mut b = vec![0u8; 9 * 2];
-            par_zip_rows(&mut a, 5, &mut b, 2, |row, ra, rb| {
+            par_zip_rows_with_cost(&mut a, 5, &mut b, 2, 1, |row, ra, rb| {
                 for (j, x) in ra.iter_mut().enumerate() {
                     *x = (row * 10 + j) as f32;
                 }

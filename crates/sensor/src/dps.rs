@@ -357,7 +357,7 @@ impl DigitalPixelSensor {
                 // Every pixel's comparator fires independently: eventify one
                 // row per task. Row sub-slices keep the inner loop on fused
                 // iterators (no bounds checks, vectorisable).
-                bliss_parallel::par_map_rows(bits, w, |y, row| {
+                bliss_parallel::par_chunks(bits, w, |y, row| {
                     let base = y * w;
                     let cur_row = &current[base..base + row.len()];
                     let prev_row = &prev[base..base + row.len()];

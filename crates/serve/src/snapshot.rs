@@ -44,8 +44,10 @@ use std::fmt;
 /// set, which keeps the snapshot format independent of the quantiser's
 /// internals; `4` — [`crate::FrameRecord`] (embedded per session) gained
 /// `shed`, the graceful-degradation marker; `5` — `ServeConfig` lost
-/// `batch_window_s`, a scheduler window that was always zero.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// `batch_window_s`, a scheduler window that was always zero; `6` —
+/// `ServeConfig` lost `warmup_frames`, a per-session warmup prefix only a
+/// unit test ever set (`warmup_s` is the warmup window).
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Errors from restoring a serving snapshot.
 #[derive(Debug, Clone, PartialEq)]

@@ -106,7 +106,7 @@ impl NdArray {
     /// Creates an array filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n: usize = shape.iter().product();
-        let mut data = scratch::take_empty(n);
+        let mut data = scratch::take(n);
         data.resize(n, value);
         NdArray {
             shape: shape.to_vec(),
@@ -631,7 +631,7 @@ impl NdArray {
             }
             rows += p.shape[0];
         }
-        let mut data = scratch::take_empty(rows * cols);
+        let mut data = scratch::take(rows * cols);
         for p in parts {
             data.extend_from_slice(&p.data);
         }
@@ -666,7 +666,7 @@ impl NdArray {
             }
             cols += p.shape[1];
         }
-        let mut data = scratch::take_empty(rows * cols);
+        let mut data = scratch::take(rows * cols);
         for r in 0..rows {
             for p in parts {
                 let w = p.shape[1];
@@ -764,7 +764,7 @@ impl NdArray {
             });
         }
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut data = scratch::take_empty(indices.len() * n);
+        let mut data = scratch::take(indices.len() * n);
         for &i in indices {
             if i >= m {
                 return Err(TensorError::IndexOutOfBounds {
@@ -900,7 +900,7 @@ impl NdArray {
         let (oh, ow) = (2 * h, 2 * w);
         if ow > 0 {
             let src = &self.data;
-            bliss_parallel::par_map_rows(&mut out, ow, |row, out_row| {
+            bliss_parallel::par_chunks(&mut out, ow, |row, out_row| {
                 let i = row % oh;
                 let ci = row / oh;
                 for (j, v) in out_row.iter_mut().enumerate() {
@@ -1007,6 +1007,8 @@ pub fn matmul_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
         out.fill(0.0);
         return;
     }
+    // Kept on measurement: without the probe the `reconnect_storm` benchmark
+    // served ~2.5% fewer wall frames/s and set up ~6% slower.
     let probe = &a[..a.len().min(4096)];
     let zeros = probe.iter().filter(|&&x| x == 0.0).count();
     let sparse = zeros * 8 > probe.len();
@@ -1157,7 +1159,7 @@ pub(crate) fn matmul_transposed_into(a: &[f32], b: &[f32], k: usize, p: usize, o
     crate::workspace::with_pack_buf(k * p, |bt| {
         // Pack b^T: bt[j, i] = b[i, j]. Same gather loop as `transpose`,
         // writing into the reused workspace instead of a fresh array.
-        bliss_parallel::par_map_rows(bt, p, |j, row| {
+        bliss_parallel::par_chunks(bt, p, |j, row| {
             for (i, v) in row.iter_mut().enumerate() {
                 *v = b[i * k + j];
             }
@@ -1172,7 +1174,7 @@ pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
     if m > 0 {
         // Each output row j gathers input column j; rows are disjoint, so
         // the transpose parallelises over output rows.
-        bliss_parallel::par_map_rows(out, m, |j, row| {
+        bliss_parallel::par_chunks(out, m, |j, row| {
             for (i, v) in row.iter_mut().enumerate() {
                 *v = src[i * n + j];
             }
@@ -1185,7 +1187,7 @@ pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
 pub(crate) fn softmax_rows_into(src: &[f32], n: usize, out: &mut [f32]) {
     if n > 0 {
         // Cost hint 8: exp + normalisation per element.
-        bliss_parallel::par_map_rows_with_cost(out, n, 8, |i, out_row| {
+        bliss_parallel::par_chunks_with_cost(out, n, 8, |i, out_row| {
             let row = &src[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut denom = 0.0;
@@ -1231,7 +1233,7 @@ pub(crate) fn im2col_into(
     if ow_total > 0 {
         // One output row per (channel, kernel offset): rows are disjoint,
         // so the lowering parallelises over them.
-        bliss_parallel::par_map_rows(out, ow_total, |row, out_row| {
+        bliss_parallel::par_chunks(out, ow_total, |row, out_row| {
             let kj = row % kw;
             let ki = (row / kw) % kh;
             let ci = row / (kh * kw);
@@ -1258,7 +1260,7 @@ pub(crate) fn im2col_into(
 /// # Errors
 ///
 /// Returns [`TensorError::IndexOutOfBounds`] if any index exceeds `m`.
-pub fn gather_rows_into(
+pub(crate) fn gather_rows_into(
     src: &[f32],
     m: usize,
     n: usize,

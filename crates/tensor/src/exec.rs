@@ -70,8 +70,8 @@ pub struct ExecPlan {
 
 impl Drop for ExecPlan {
     fn drop(&mut self) {
-        crate::scratch::recycle_i8_buffer(std::mem::take(self.arena_i8.get_mut()));
-        crate::scratch::recycle_i32_buffer(std::mem::take(self.arena_i32.get_mut()));
+        crate::scratch::recycle(std::mem::take(self.arena_i8.get_mut()));
+        crate::scratch::recycle(std::mem::take(self.arena_i32.get_mut()));
     }
 }
 
@@ -98,9 +98,9 @@ impl ExecPlan {
     pub fn compile(graph: GraphBuilder) -> Result<ExecPlan, TensorError> {
         let plan = plan_graph(&graph)?;
         let arena = RefCell::new(vec![0.0; plan.arena_len]);
-        let mut i8_buf = crate::scratch::take_i8_buffer(plan.arena_i8_len);
+        let mut i8_buf = crate::scratch::take(plan.arena_i8_len);
         i8_buf.resize(plan.arena_i8_len, 0);
-        let mut i32_buf = crate::scratch::take_i32_buffer(plan.arena_i32_len);
+        let mut i32_buf = crate::scratch::take(plan.arena_i32_len);
         i32_buf.resize(plan.arena_i32_len, 0);
         Ok(ExecPlan {
             plan,

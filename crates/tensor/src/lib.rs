@@ -19,11 +19,11 @@
 //! allocating: every `NdArray` returns its backing store to a bounded,
 //! size-class-binned, thread-local pool on drop, and the constructors draw
 //! from it first (see the `scratch` module docs for the full contract).
-//! Other crates join the same economy through [`take_f32_buffer`] /
-//! [`recycle_f32_buffer`] and [`take_index_buffer`] /
-//! [`recycle_index_buffer`] for explicit staging buffers, or [`IndexVec`] — a
-//! pooled `Vec<usize>` that recycles itself on drop — for index lists that
-//! escape into caller-held results. The register-blocked matmul additionally
+//! Other crates join the same economy through [`take_f32_buffer`], for data
+//! staged before it moves into an `NdArray`, or [`IndexVec`] — a pooled
+//! `Vec<usize>` that recycles itself on drop — for index lists that escape
+//! into caller-held results; [`pool_stats`] and [`shelf_stats`] report what
+//! the pools retain. The register-blocked matmul additionally
 //! keeps a dedicated per-thread operand-packing workspace for
 //! [`NdArray::matmul_transposed`], so attention-score products pack without
 //! any pool traffic at all.
@@ -90,16 +90,12 @@ pub use quant::{CalTap, QuantCalibration, QuantEntry, QuantSpec, QuantizedWeight
 /// executor.
 ///
 /// These operate on caller-provided buffers with **zero allocations**, so
-/// hot paths that stage data in pooled buffers (e.g. the sparse ViT's
-/// per-pixel refinement tail, whose row count changes every frame and so
-/// cannot live inside a shape-keyed [`ExecPlan`]) can run the exact same
-/// arithmetic as the corresponding [`NdArray`] / [`Tensor`] ops —
-/// bit-identical results at any thread count.
+/// hot paths that keep their own buffers (e.g. the sparse ViT's per-pixel
+/// refinement tail, whose row count changes every frame and so cannot live
+/// inside a shape-keyed [`ExecPlan`]) can run the exact same arithmetic as
+/// the corresponding [`NdArray`] / [`Tensor`] ops — bit-identical results
+/// at any thread count.
 pub mod kernels {
-    pub use crate::array::{add_row_assign, gather_rows_into, matmul_into};
+    pub use crate::array::{add_row_assign, matmul_into};
 }
-pub use scratch::{
-    pool_stats, recycle_f32_buffer, recycle_i32_buffer, recycle_i8_buffer, recycle_index_buffer,
-    shelf_stats, take_f32_buffer, take_i32_buffer, take_i8_buffer, take_index_buffer, IndexVec,
-    PoolStats, ShelfStats,
-};
+pub use scratch::{pool_stats, shelf_stats, take_f32_buffer, IndexVec, PoolStats, ShelfStats};

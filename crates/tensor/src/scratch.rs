@@ -1,14 +1,13 @@
 //! Thread-local buffer recycling for the inference and autograd hot paths.
 //!
 //! A training step rebuilds the whole define-by-run graph, and a steady-state
-//! serving frame lowers, stacks and segments the same-shaped buffers over and
-//! over — so both paths would otherwise hammer the global allocator with the
-//! same requests every iteration. This module keeps per-thread free lists of
-//! backing stores: [`crate::NdArray`] returns its `f32` buffer here on drop,
-//! the array constructors draw from the lists before touching the global
-//! allocator, and the index-buffer pool does the same for the `usize`
-//! staging vectors of the sparse-ViT lowering (kept-patch lists, per-pixel
-//! token maps, gather indices).
+//! serving frame builds the same-shaped tensors over and over — so both
+//! paths would otherwise hammer the global allocator with the same requests
+//! every iteration. This module keeps per-thread free lists of backing
+//! stores: [`crate::NdArray`] returns its `f32` buffer here on drop and the
+//! array constructors draw from the lists before touching the global
+//! allocator; [`IndexVec`] does the same for `usize` index lists, and
+//! [`crate::ExecPlan`] for its `i8`/`i32` quantised arenas.
 //!
 //! # Reuse contract
 //!
@@ -16,8 +15,8 @@
 //!   request of `len` elements is served from its own class or the one
 //!   above, so lookups are O(1) instead of a free-list scan. Slack is
 //!   bounded at 4x for pool-allocated buffers (power-of-two capacities);
-//!   externally recycled odd capacities file by floor(log2) and can reach
-//!   ~8x in the worst case.
+//!   externally built odd capacities (an `NdArray::from_vec` of a plain
+//!   `Vec`) file by floor(log2) and can reach ~8x in the worst case.
 //! * **Bounded.** Each pool is capped in buffer count and total retained
 //!   elements per thread; overflow simply frees to the global allocator.
 //!   Buffers below [`MIN_POOL_LEN`] elements bypass the pool — the
@@ -28,37 +27,38 @@
 //!   lock), and only when a local take misses does the thread probe the
 //!   shelf before touching the allocator — so a buffer recycled by worker A
 //!   is reusable from worker B, but the steady-state hot path never locks.
-//! * **Steady state allocates nothing.** Once the working set has been seen
-//!   (a few iterations), every buffer-class request is served from the pool;
-//!   `crates/bench/tests/alloc_counter.rs` pins this with a counting global
-//!   allocator around a serving-style `forward_batch` loop.
+//! * **Steady state allocates no buffers.** Once the working set has been
+//!   seen (a few iterations), every buffer-class request is served from the
+//!   pool; `crates/bench/tests/alloc_counter.rs` pins this with a counting
+//!   global allocator around a tape `forward_batch` loop.
 //!
-//! External crates reuse the pool through [`take_f32_buffer`] /
-//! [`recycle_f32_buffer`] (and the `usize` twins) for staging buffers whose
-//! lifetime does not fit an `NdArray`, or through [`IndexVec`], a pooled
-//! `Vec<usize>` that recycles itself on drop exactly like `NdArray` does.
+//! One generic crate-private `take`/`recycle` pair serves every element
+//! type. Other crates see [`take_f32_buffer`], for staging data that ends
+//! up inside an `NdArray` (and so recycles when that array drops),
+//! [`IndexVec`], and the [`pool_stats`]/[`shelf_stats`] occupancy gauges.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Buffers smaller than this stay on the global allocator: the bookkeeping
 /// would cost more than the allocation.
 const MIN_POOL_LEN: usize = 64;
-/// Maximum number of buffers retained per thread per pool.
+/// Maximum number of buffers retained per thread per element type.
 const MAX_POOL_BUFS: usize = 384;
-/// Maximum total capacity retained per thread per pool, in elements
+/// Maximum total capacity retained per thread per element type, in elements
 /// (~64 MiB of f32 / ~128 MiB of usize at the cap — the serving working set
 /// is far below either).
 const MAX_POOL_ELEMS: usize = 16 << 20;
 /// Number of power-of-two capacity classes tracked (up to 2^40 elements —
 /// effectively unbounded; larger buffers just bypass the pool).
 const CLASSES: usize = 41;
-/// Maximum number of buffers retained on the cross-thread shelf per pool.
+/// Maximum number of buffers retained on the cross-thread shelf per element
+/// type.
 const MAX_SHELF_BUFS: usize = 256;
-/// Maximum total capacity retained on the shelf per pool, in elements
-/// (~32 MiB of f32 / ~64 MiB of usize at the cap).
+/// Maximum total capacity retained on the shelf per element type, in
+/// elements (~32 MiB of f32 / ~64 MiB of usize at the cap).
 const MAX_SHELF_ELEMS: usize = 8 << 20;
 
 /// Class whose buffers all satisfy a request of `len` elements.
@@ -71,154 +71,157 @@ fn class_of_capacity(cap: usize) -> usize {
     (usize::BITS - 1 - cap.max(1).leading_zeros()) as usize
 }
 
-/// Pops a buffer with capacity >= `len` from class-binned free lists under
-/// the slack bound shared by the thread pools and the shelf: the request
-/// class, then one above (every buffer in either has capacity >= len, and
-/// the class bound keeps big buffers from being burned on small requests —
-/// 4x slack for power-of-two capacities, ~8x worst case for odd recycled
-/// ones), then an exact-fit scan of the class below (externally built
-/// vectors recycled via the public API file under floor(log2(cap)), which is
-/// one class below their request class unless cap is a power of two).
-fn pop_fitting<T>(bins: &mut [Vec<Vec<T>>], len: usize) -> Option<Vec<T>> {
-    let class = class_for_request(len);
-    for c in class..(class + 2).min(CLASSES) {
-        if let Some(buf) = bins[c].pop() {
-            return Some(buf);
-        }
-    }
-    if class > 0 {
-        let bin = &mut bins[class - 1];
-        if let Some(i) = bin.iter().rposition(|b| b.capacity() >= len) {
-            return Some(bin.swap_remove(i));
-        }
-    }
-    None
-}
-
-struct Pool<T> {
+/// Class-binned free lists of one element type with their occupancy: the
+/// shape of both a thread's pool and the cross-thread shelf.
+pub(crate) struct FreeLists<T> {
     /// `bins[c]` holds buffers with capacity in `[2^c, 2^(c+1))`.
-    bins: Vec<Vec<Vec<T>>>,
-    bufs: usize,
-    elems: usize,
-}
-
-impl<T: Copy + Default> Pool<T> {
-    fn new() -> Self {
-        Pool {
-            bins: (0..CLASSES).map(|_| Vec::new()).collect(),
-            bufs: 0,
-            elems: 0,
-        }
-    }
-
-    /// Pops a local buffer that satisfies a request of `len` elements, or
-    /// `None` on a miss (the caller then probes the shelf before
-    /// allocating).
-    fn take_local(&mut self, len: usize) -> Option<Vec<T>> {
-        let buf = pop_fitting(&mut self.bins, len)?;
-        self.bufs -= 1;
-        self.elems -= buf.capacity();
-        Some(buf)
-    }
-
-    /// Files `buf` locally; hands it back when the pool is full so the
-    /// caller can shelf it for other threads.
-    fn recycle(&mut self, mut buf: Vec<T>) -> Option<Vec<T>> {
-        let cap = buf.capacity();
-        if cap < MIN_POOL_LEN {
-            return None;
-        }
-        if self.bufs >= MAX_POOL_BUFS || self.elems + cap > MAX_POOL_ELEMS {
-            return Some(buf);
-        }
-        let class = class_of_capacity(cap);
-        buf.clear();
-        self.bufs += 1;
-        self.elems += cap;
-        self.bins[class].push(buf);
-        None
-    }
-}
-
-/// The cross-thread overflow shelf: a mutex-protected, class-binned store
-/// that catches buffers a full thread-local pool would otherwise free, and
-/// serves them to any thread whose local pool misses. Steady-state traffic
-/// never touches it — it is the hand-off lane between a worker that built a
-/// working set and a worker that needs one.
-struct Shelf<T> {
     bins: [Vec<Vec<T>>; CLASSES],
     bufs: usize,
     elems: usize,
 }
 
-impl<T> Shelf<T> {
+impl<T> FreeLists<T> {
     const fn new() -> Self {
-        Shelf {
+        FreeLists {
             bins: [const { Vec::new() }; CLASSES],
             bufs: 0,
             elems: 0,
         }
     }
 
+    /// Pops a buffer with capacity `>= len` under the slack bound: the
+    /// request class, then one above (every buffer in either is big enough,
+    /// and the class bound keeps big buffers from being burned on small
+    /// requests — 4x slack for power-of-two capacities, ~8x worst case for
+    /// odd ones), then an exact-fit scan of the class below (an odd
+    /// capacity files under floor(log2(cap)), one class below its request
+    /// class).
     fn take(&mut self, len: usize) -> Option<Vec<T>> {
-        let buf = pop_fitting(&mut self.bins, len)?;
+        let class = class_for_request(len);
+        let buf = (class..(class + 2).min(CLASSES))
+            .find_map(|c| self.bins[c].pop())
+            .or_else(|| {
+                let bin = &mut self.bins[class.checked_sub(1)?];
+                let i = bin.iter().rposition(|b| b.capacity() >= len)?;
+                Some(bin.swap_remove(i))
+            })?;
         self.bufs -= 1;
         self.elems -= buf.capacity();
         Some(buf)
     }
 
-    fn shelve(&mut self, mut buf: Vec<T>) {
+    /// Files `buf`, cleared, unless that would pass `max_bufs` buffers or
+    /// `max_elems` elements; then hands it back.
+    fn file(&mut self, mut buf: Vec<T>, max_bufs: usize, max_elems: usize) -> Option<Vec<T>> {
         let cap = buf.capacity();
-        if self.bufs >= MAX_SHELF_BUFS || self.elems + cap > MAX_SHELF_ELEMS {
-            return;
+        if self.bufs >= max_bufs || self.elems + cap > max_elems {
+            return Some(buf);
         }
         buf.clear();
         self.bufs += 1;
         self.elems += cap;
         self.bins[class_of_capacity(cap)].push(buf);
+        None
     }
 }
 
-static F32_SHELF: Mutex<Shelf<f32>> = Mutex::new(Shelf::new());
-static IDX_SHELF: Mutex<Shelf<usize>> = Mutex::new(Shelf::new());
-static I8_SHELF: Mutex<Shelf<i8>> = Mutex::new(Shelf::new());
-static I32_SHELF: Mutex<Shelf<i32>> = Mutex::new(Shelf::new());
+/// One set of free lists per pooled element type.
+pub(crate) struct Lists {
+    f32: FreeLists<f32>,
+    usize: FreeLists<usize>,
+    i8: FreeLists<i8>,
+    i32: FreeLists<i32>,
+}
 
-/// Locks a shelf, shrugging off poisoning (the shelf holds only empty
-/// buffers, so a panicking holder cannot leave it inconsistent).
-fn lock<T>(shelf: &Mutex<Shelf<T>>) -> std::sync::MutexGuard<'_, Shelf<T>> {
-    shelf.lock().unwrap_or_else(|e| e.into_inner())
+impl Lists {
+    const fn new() -> Self {
+        Lists {
+            f32: FreeLists::new(),
+            usize: FreeLists::new(),
+            i8: FreeLists::new(),
+            i32: FreeLists::new(),
+        }
+    }
 }
 
 thread_local! {
-    static F32_POOL: RefCell<Pool<f32>> = RefCell::new(Pool::new());
-    static IDX_POOL: RefCell<Pool<usize>> = RefCell::new(Pool::new());
-    static I8_POOL: RefCell<Pool<i8>> = RefCell::new(Pool::new());
-    static I32_POOL: RefCell<Pool<i32>> = RefCell::new(Pool::new());
+    /// The calling thread's pools.
+    static POOLS: RefCell<Lists> = const { RefCell::new(Lists::new()) };
 }
 
-/// Pops a recycled `f32` buffer with capacity at least `len` (cleared,
-/// length 0), or creates a fresh one.
-pub(crate) fn take_empty(len: usize) -> Vec<f32> {
+/// The cross-thread overflow shelf: it catches buffers a full thread-local
+/// pool would otherwise free, and serves them to any thread whose local
+/// pool misses. Steady-state traffic never touches it — it is the hand-off
+/// lane between a worker that built a working set and a worker that needs
+/// one.
+static SHELF: Mutex<Lists> = Mutex::new(Lists::new());
+
+/// Locks the shelf, shrugging off poisoning (the shelf holds only empty
+/// buffers, so a panicking holder cannot leave it inconsistent).
+fn shelf() -> MutexGuard<'static, Lists> {
+    SHELF.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// An element type the pools serve.
+pub(crate) trait Pooled: Sized {
+    /// This type's free lists within `lists`.
+    fn of(lists: &mut Lists) -> &mut FreeLists<Self>;
+    /// Records a pool miss (a fresh allocation) in telemetry.
+    fn count_miss() {}
+}
+
+impl Pooled for f32 {
+    fn of(lists: &mut Lists) -> &mut FreeLists<f32> {
+        &mut lists.f32
+    }
+    fn count_miss() {
+        bliss_telemetry::metrics::SCRATCH_F32_MISSES.add(1);
+    }
+}
+
+impl Pooled for usize {
+    fn of(lists: &mut Lists) -> &mut FreeLists<usize> {
+        &mut lists.usize
+    }
+    fn count_miss() {
+        bliss_telemetry::metrics::SCRATCH_INDEX_MISSES.add(1);
+    }
+}
+
+impl Pooled for i8 {
+    fn of(lists: &mut Lists) -> &mut FreeLists<i8> {
+        &mut lists.i8
+    }
+}
+
+impl Pooled for i32 {
+    fn of(lists: &mut Lists) -> &mut FreeLists<i32> {
+        &mut lists.i32
+    }
+}
+
+/// Pops a recycled buffer with capacity at least `len` (cleared, length 0),
+/// or creates a fresh one.
+pub(crate) fn take<T: Pooled>(len: usize) -> Vec<T> {
     if len < MIN_POOL_LEN {
         return Vec::with_capacity(len);
     }
-    F32_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&F32_SHELF).take(len))
+    POOLS
+        .with(|p| T::of(&mut p.borrow_mut()).take(len))
+        .or_else(|| T::of(&mut shelf()).take(len))
         // Fresh buffers get power-of-two capacity so they later file in the
         // exact class their own request size maps to — without this, every
         // odd-sized working-set buffer would miss its bin on the next
         // iteration and steady state would keep allocating.
         .unwrap_or_else(|| {
-            bliss_telemetry::metrics::SCRATCH_F32_MISSES.add(1);
+            T::count_miss();
             Vec::with_capacity(len.next_power_of_two())
         })
 }
 
 /// A zero-filled buffer of exactly `len` elements, recycled when possible.
 pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
-    let mut buf = take_empty(len);
+    let mut buf = take(len);
     buf.resize(len, 0.0);
     buf
 }
@@ -226,20 +229,23 @@ pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
 /// A buffer of exactly `len` elements filled from `it`, recycled when
 /// possible. `it` must yield exactly `len` items.
 pub(crate) fn take_from_iter(len: usize, it: impl Iterator<Item = f32>) -> Vec<f32> {
-    let mut buf = take_empty(len);
+    let mut buf = take(len);
     buf.extend(it);
     debug_assert_eq!(buf.len(), len, "iterator length must match request");
     buf
 }
 
-/// Returns a no-longer-needed backing store to the thread's pool (or lets it
-/// drop if the pool is full or the buffer too small to be worth keeping).
-pub(crate) fn recycle(buf: Vec<f32>) {
+/// Returns a no-longer-needed backing store to the thread's pool, or to the
+/// shelf when that pool is full (or lets it drop if the shelf is full too or
+/// the buffer too small to be worth keeping).
+pub(crate) fn recycle<T: Pooled>(buf: Vec<T>) {
     if buf.capacity() < MIN_POOL_LEN {
         return;
     }
-    if let Some(overflow) = F32_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&F32_SHELF).shelve(overflow);
+    let overflow =
+        POOLS.with(|p| T::of(&mut p.borrow_mut()).file(buf, MAX_POOL_BUFS, MAX_POOL_ELEMS));
+    if let Some(buf) = overflow {
+        T::of(&mut shelf()).file(buf, MAX_SHELF_BUFS, MAX_SHELF_ELEMS);
     }
 }
 
@@ -271,20 +277,15 @@ impl PoolStats {
 /// Snapshots the calling thread's pool occupancy (cheap: four counter
 /// reads).
 pub fn pool_stats() -> PoolStats {
-    let (f32_bufs, f32_elems) = F32_POOL.with(|p| {
+    POOLS.with(|p| {
         let p = p.borrow();
-        (p.bufs, p.elems)
-    });
-    let (index_bufs, index_elems) = IDX_POOL.with(|p| {
-        let p = p.borrow();
-        (p.bufs, p.elems)
-    });
-    PoolStats {
-        f32_bufs,
-        f32_elems,
-        index_bufs,
-        index_elems,
-    }
+        PoolStats {
+            f32_bufs: p.f32.bufs,
+            f32_elems: p.f32.elems,
+            index_bufs: p.usize.bufs,
+            index_elems: p.usize.elems,
+        }
+    })
 }
 
 /// A point-in-time view of the global cross-thread overflow shelf, for the
@@ -312,118 +313,24 @@ impl ShelfStats {
     }
 }
 
-/// Snapshots the global overflow shelf's occupancy (two mutex locks).
+/// Snapshots the global overflow shelf's occupancy (one mutex lock).
 pub fn shelf_stats() -> ShelfStats {
-    let (f32_bufs, f32_elems) = {
-        let s = lock(&F32_SHELF);
-        (s.bufs, s.elems)
-    };
-    let (index_bufs, index_elems) = {
-        let s = lock(&IDX_SHELF);
-        (s.bufs, s.elems)
-    };
+    let s = shelf();
     ShelfStats {
-        f32_bufs,
-        f32_elems,
-        index_bufs,
-        index_elems,
+        f32_bufs: s.f32.bufs,
+        f32_elems: s.f32.elems,
+        index_bufs: s.usize.bufs,
+        index_elems: s.usize.elems,
     }
 }
 
 /// Takes an empty pooled `f32` staging buffer with capacity at least `len`.
 ///
-/// The public entry point for staging buffers that outlive an expression but
-/// do not live inside an [`crate::NdArray`] (sensor readout images, stacked
-/// token data, event maps). Pair with [`recycle_f32_buffer`]; dropping the
-/// buffer instead is safe but forfeits the reuse.
+/// The public entry point for data staged outside an [`crate::NdArray`] that
+/// ends up inside one (`NdArray::from_vec`): the buffer returns to the pool
+/// when that array drops. Dropping the buffer itself frees it.
 pub fn take_f32_buffer(len: usize) -> Vec<f32> {
-    take_empty(len)
-}
-
-/// Returns a buffer obtained from [`take_f32_buffer`] (or any `Vec<f32>`)
-/// to the thread's pool.
-pub fn recycle_f32_buffer(buf: Vec<f32>) {
-    recycle(buf);
-}
-
-/// Takes an empty pooled `usize` staging buffer with capacity at least
-/// `len`. Pair with [`recycle_index_buffer`].
-pub fn take_index_buffer(len: usize) -> Vec<usize> {
-    if len < MIN_POOL_LEN {
-        return Vec::with_capacity(len);
-    }
-    IDX_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&IDX_SHELF).take(len))
-        .unwrap_or_else(|| {
-            bliss_telemetry::metrics::SCRATCH_INDEX_MISSES.add(1);
-            Vec::with_capacity(len.next_power_of_two())
-        })
-}
-
-/// Returns a buffer obtained from [`take_index_buffer`] (or any
-/// `Vec<usize>`) to the thread's pool.
-pub fn recycle_index_buffer(buf: Vec<usize>) {
-    if buf.capacity() < MIN_POOL_LEN {
-        return;
-    }
-    if let Some(overflow) = IDX_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&IDX_SHELF).shelve(overflow);
-    }
-}
-
-/// Takes an empty pooled `i8` buffer with capacity at least `len`.
-///
-/// Serves the quantised inference path: `ExecPlan` draws its `i8`
-/// activation arena here at compile time and recycles it on drop, so plan
-/// churn (cache eviction, shape-class rotation) reuses quant working sets
-/// instead of round-tripping the global allocator. Steady-state execution
-/// never touches the pool — the arena is owned by the plan. Pair with
-/// [`recycle_i8_buffer`]. (These pools are not included in [`PoolStats`];
-/// quant arenas live exactly as long as their plans, so the f32 gauges
-/// remain the soak-test leak signal.)
-pub fn take_i8_buffer(len: usize) -> Vec<i8> {
-    if len < MIN_POOL_LEN {
-        return Vec::with_capacity(len);
-    }
-    I8_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&I8_SHELF).take(len))
-        .unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()))
-}
-
-/// Returns a buffer obtained from [`take_i8_buffer`] (or any `Vec<i8>`) to
-/// the thread's pool.
-pub fn recycle_i8_buffer(buf: Vec<i8>) {
-    if buf.capacity() < MIN_POOL_LEN {
-        return;
-    }
-    if let Some(overflow) = I8_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&I8_SHELF).shelve(overflow);
-    }
-}
-
-/// Takes an empty pooled `i32` buffer with capacity at least `len` — the
-/// accumulator twin of [`take_i8_buffer`]. Pair with [`recycle_i32_buffer`].
-pub fn take_i32_buffer(len: usize) -> Vec<i32> {
-    if len < MIN_POOL_LEN {
-        return Vec::with_capacity(len);
-    }
-    I32_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&I32_SHELF).take(len))
-        .unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()))
-}
-
-/// Returns a buffer obtained from [`take_i32_buffer`] (or any `Vec<i32>`)
-/// to the thread's pool.
-pub fn recycle_i32_buffer(buf: Vec<i32>) {
-    if buf.capacity() < MIN_POOL_LEN {
-        return;
-    }
-    if let Some(overflow) = I32_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&I32_SHELF).shelve(overflow);
-    }
+    take(len)
 }
 
 /// A pooled `Vec<usize>`: drawn from the thread-local index pool and
@@ -462,14 +369,12 @@ impl IndexVec {
 
     /// An empty pooled vector with capacity at least `cap`.
     pub fn with_capacity(cap: usize) -> Self {
-        IndexVec {
-            data: take_index_buffer(cap),
-        }
+        IndexVec { data: take(cap) }
     }
 
     /// A pooled copy of `slice`.
     pub fn from_slice(slice: &[usize]) -> Self {
-        let mut data = take_index_buffer(slice.len());
+        let mut data = take(slice.len());
         data.extend_from_slice(slice);
         IndexVec { data }
     }
@@ -492,7 +397,7 @@ impl IndexVec {
 
 impl Drop for IndexVec {
     fn drop(&mut self) {
-        recycle_index_buffer(std::mem::take(&mut self.data));
+        recycle(std::mem::take(&mut self.data));
     }
 }
 
@@ -549,7 +454,7 @@ impl PartialEq<IndexVec> for Vec<usize> {
 impl FromIterator<usize> for IndexVec {
     fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
         let it = iter.into_iter();
-        let mut data = take_index_buffer(it.size_hint().0);
+        let mut data = take(it.size_hint().0);
         data.extend(it);
         IndexVec { data }
     }
@@ -597,7 +502,7 @@ mod tests {
     fn tiny_buffers_bypass_the_pool() {
         let buf = take_zeroed(4);
         assert_eq!(buf.len(), 4);
-        recycle(vec![0.0; 4]); // silently ignored
+        recycle(vec![0.0f32; 4]); // silently ignored
     }
 
     #[test]
@@ -616,22 +521,20 @@ mod tests {
     #[test]
     fn pool_is_bounded() {
         for _ in 0..(MAX_POOL_BUFS * 2) {
-            recycle(vec![0.0; MIN_POOL_LEN]);
+            recycle(vec![0.0f32; MIN_POOL_LEN]);
         }
-        F32_POOL.with(|pool| {
-            let pool = pool.borrow();
-            assert!(pool.bufs <= MAX_POOL_BUFS);
-            assert!(pool.elems <= MAX_POOL_ELEMS);
-        });
+        let stats = pool_stats();
+        assert!(stats.f32_bufs <= MAX_POOL_BUFS);
+        assert!(stats.f32_elems <= MAX_POOL_ELEMS);
     }
 
     #[test]
     fn index_pool_round_trips() {
-        let mut buf = take_index_buffer(256);
+        let mut buf = take::<usize>(256);
         buf.extend(0..256);
         let ptr = buf.as_ptr();
-        recycle_index_buffer(buf);
-        let again = take_index_buffer(200);
+        recycle(buf);
+        let again = take::<usize>(200);
         assert!(again.is_empty());
         assert_eq!(again.as_ptr(), ptr);
     }
@@ -657,9 +560,9 @@ mod tests {
             // Fill this thread's local pool to its buffer cap so the marked
             // buffer overflows onto the cross-thread shelf.
             for _ in 0..MAX_POOL_BUFS {
-                recycle(vec![0.0; MIN_POOL_LEN]);
+                recycle(vec![0.0f32; MIN_POOL_LEN]);
             }
-            recycle_f32_buffer(marked);
+            recycle(marked);
             ptr
         })
         .join()
@@ -680,19 +583,19 @@ mod tests {
     fn overflowing_index_recycle_crosses_threads_via_the_shelf() {
         const BIG: usize = 3 << 18; // distinct class from the f32 test's data
         let ptr = std::thread::spawn(|| {
-            let mut marked = take_index_buffer(BIG);
+            let mut marked = take::<usize>(BIG);
             marked.resize(BIG, 7);
             let ptr = marked.as_ptr() as usize;
             for _ in 0..MAX_POOL_BUFS {
-                recycle_index_buffer(vec![0; MIN_POOL_LEN]);
+                recycle(vec![0usize; MIN_POOL_LEN]);
             }
-            recycle_index_buffer(marked);
+            recycle(marked);
             ptr
         })
         .join()
         .unwrap();
         let got = std::thread::spawn(move || {
-            let buf = take_index_buffer(BIG);
+            let buf = take::<usize>(BIG);
             buf.as_ptr() as usize
         })
         .join()
@@ -706,7 +609,7 @@ mod tests {
         // must hold no matter what other tests shelve concurrently.
         std::thread::spawn(|| {
             for _ in 0..(MAX_POOL_BUFS + MAX_SHELF_BUFS * 2) {
-                recycle(vec![0.0; MIN_POOL_LEN]);
+                recycle(vec![0.0f32; MIN_POOL_LEN]);
             }
         })
         .join()
@@ -720,19 +623,19 @@ mod tests {
 
     #[test]
     fn quant_pools_round_trip() {
-        let mut b8 = take_i8_buffer(512);
+        let mut b8 = take::<i8>(512);
         b8.resize(512, 3);
         let p8 = b8.as_ptr();
-        recycle_i8_buffer(b8);
-        let again8 = take_i8_buffer(512);
+        recycle(b8);
+        let again8 = take::<i8>(512);
         assert!(again8.is_empty(), "recycled buffers come back cleared");
         assert_eq!(again8.as_ptr(), p8);
 
-        let mut b32 = take_i32_buffer(512);
+        let mut b32 = take::<i32>(512);
         b32.resize(512, -9);
         let p32 = b32.as_ptr();
-        recycle_i32_buffer(b32);
-        let again32 = take_i32_buffer(512);
+        recycle(b32);
+        let again32 = take::<i32>(512);
         assert_eq!(again32.as_ptr(), p32);
     }
 

@@ -1,9 +1,8 @@
 use bliss_nn::{Builder, Linear, Module, Tape, TransformerBlock};
 use bliss_npu::{GemmShape, WorkloadDesc};
 use bliss_tensor::{
-    kernels, recycle_f32_buffer, recycle_index_buffer, take_f32_buffer, take_index_buffer,
-    ExecPlan, GraphBuilder, IndexVec, NdArray, PlanCache, PlanCacheStats, QuantCalibration,
-    QuantSpec, Tensor, TensorError,
+    kernels, take_f32_buffer, ExecPlan, GraphBuilder, IndexVec, NdArray, PlanCache, PlanCacheStats,
+    QuantCalibration, QuantSpec, Tensor, TensorError,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -152,43 +151,55 @@ impl ViTConfig {
     }
 }
 
-/// One frame lowered to its transformer inputs: occupied-patch tokens and
-/// per-pixel classification queries, ready for (batched) inference.
+/// A batch of frames lowered to stacked transformer inputs: every active
+/// frame's occupied-patch tokens and sampled-pixel queries appended in input
+/// order, plus one [`FrameSpan`] per input frame.
 ///
-/// Every buffer is drawn from the `bliss_tensor` scratch pools and returned
-/// there when the frame is consumed ([`PreparedFrame::recycle`]) — in steady
-/// state the lowering allocates nothing.
-struct PreparedFrame {
-    /// Patch-grid indices of occupied patches (pooled).
+/// The buffers are cleared, never freed, between batches, so a holder that
+/// has seen a batch's working set lowers it again without allocating.
+#[derive(Default)]
+struct Lowered {
+    /// `(values, sample-mask)` rows of every kept patch, `[sum_t, 2*p^2]`.
+    tokens: Vec<f32>,
+    /// Patch-grid index of every kept patch (its position-embedding row).
     kept: Vec<usize>,
-    /// `(values, sample-mask)` rows for each kept patch, `[t, 2*p^2]` flat
-    /// (pooled).
-    token_data: Vec<f32>,
-    /// Frame-flat index of every sampled pixel; pooled and self-recycling,
-    /// because it escapes into the returned [`SegPrediction`].
-    pixel_indices: IndexVec,
-    /// Frame-local token index owning each sampled pixel (pooled).
+    /// Frame-flat index of every sampled pixel.
+    pixel_indices: Vec<usize>,
+    /// Frame-local token owning each sampled pixel.
     pixel_token: Vec<usize>,
-    /// `(value, 1)` feature pairs for the pixel refinement head (pooled).
+    /// `(value, 1)` features of every sampled pixel, `[sum_S, 2]`.
     pixel_feat: Vec<f32>,
+    /// Active frames' token counts: the block-diagonal spans and the
+    /// plan-cache key.
+    token_counts: Vec<usize>,
+    /// One entry per input frame.
+    spans: Vec<FrameSpan>,
+    /// Per-patch occupancy flags of the frame being lowered.
+    occupancy: Vec<bool>,
 }
 
-impl PreparedFrame {
-    /// Returns the consumed frame's staging buffers to the scratch pools
-    /// (except `pixel_indices`, which lives on inside the prediction and
-    /// recycles itself on drop).
-    fn recycle(self) -> IndexVec {
-        bliss_tensor::recycle_index_buffer(self.kept);
-        bliss_tensor::recycle_f32_buffer(self.token_data);
-        bliss_tensor::recycle_index_buffer(self.pixel_token);
-        bliss_tensor::recycle_f32_buffer(self.pixel_feat);
-        self.pixel_indices
+/// Where one input frame's rows sit in a [`Lowered`] batch.
+#[derive(Clone, Copy)]
+struct FrameSpan {
+    /// Occupied patch tokens; `0` for a frame with no sampled pixel.
+    tokens: usize,
+    /// First row of the frame's pixel queries (and of its logits).
+    px: usize,
+    /// Number of pixel queries.
+    rows: usize,
+}
+
+impl Lowered {
+    fn clear(&mut self) {
+        self.tokens.clear();
+        self.kept.clear();
+        self.pixel_indices.clear();
+        self.pixel_token.clear();
+        self.pixel_feat.clear();
+        self.token_counts.clear();
+        self.spans.clear();
     }
 }
-
-/// A batch's active frames stacked for one token pass: their `(values,
-/// mask)` patch rows and their patch-grid indices, in pooled buffers.
-type StagedTokens = (Vec<f32>, Vec<usize>);
 
 /// Output of one sparse segmentation forward pass.
 #[derive(Debug)]
@@ -202,6 +213,13 @@ pub struct SegPrediction {
     /// Number of occupied patch tokens the transformer processed — the
     /// quantity that shrinks with sparse sampling and drives compute savings.
     pub tokens: usize,
+}
+
+/// A constant tensor over a pooled copy of `data`.
+fn pooled_constant(data: &[f32], shape: &[usize]) -> Result<Tensor, TensorError> {
+    let mut buf = take_f32_buffer(data.len());
+    buf.extend_from_slice(data);
+    Ok(Tensor::constant(NdArray::from_vec(buf, shape)?))
 }
 
 /// First index of the row maximum (ties break low, matching
@@ -283,8 +301,8 @@ struct VitPlans {
     /// Pixel-head weight/bias handles cached once so the per-frame
     /// refinement tail reads them without re-collecting parameter vectors.
     pixel_params: Option<(Tensor, Tensor)>,
-    /// Reusable output/staging buffers for the planned
-    /// [`SparseViT::forward_batch`] wrapper.
+    /// The holder [`SparseViT::forward_batch`] lowers into, on both
+    /// engines.
     batch: Option<PlannedBatch>,
 }
 
@@ -310,35 +328,22 @@ impl std::fmt::Debug for VitPlans {
     }
 }
 
-/// Reusable output and staging buffers of [`SparseViT::forward_batch_into`]
+/// Reusable lowering and output buffers of [`SparseViT::forward_batch_into`]
 /// — the strict zero-allocation planned inference entry point.
 ///
-/// All buffers are retained between calls (or drawn from the scratch
-/// pools), so a steady-state iteration over a repeating span layout
-/// performs **zero heap allocations**. The results of the last call are
-/// read through [`PlannedBatch::frame`].
+/// The batch owns every buffer and keeps it between calls, so a
+/// steady-state iteration over a repeating span layout performs **zero heap
+/// allocations**. The results of the last call are read through
+/// [`PlannedBatch::frame`].
 #[derive(Default)]
 pub struct PlannedBatch {
-    /// Flat per-pixel logits of every active frame, `[sum_S, classes]`.
+    /// The last batch's lowered inputs and per-frame spans.
+    lowered: Lowered,
+    /// Per-pixel logits of every active frame, `[sum_S, classes]`, in the
+    /// row order of the lowered pixel queries.
     logits: Vec<f32>,
-    /// Per input frame: `None` for empty frames, else offsets into `logits`.
-    frames: Vec<Option<PlannedFrame>>,
     /// Class count of the last run.
     classes: usize,
-    // Scratch reused across calls (never observable between them).
-    prepared: Vec<Option<PreparedFrame>>,
-    /// Active frames' token counts — also the plan-cache key.
-    token_counts: Vec<usize>,
-    refined: Vec<f32>,
-    pixel_feat_all: Vec<f32>,
-}
-
-/// One active frame's slice of a [`PlannedBatch`].
-struct PlannedFrame {
-    off: usize,
-    rows: usize,
-    tokens: usize,
-    pixel_indices: IndexVec,
 }
 
 /// Borrowed view of one frame's planned-inference result.
@@ -358,14 +363,15 @@ impl PlannedBatch {
         Self::default()
     }
 
-    /// Frames in the last completed batch (including empty ones).
+    /// Frames in the last completed batch (including empty ones); `0` after
+    /// a failed call.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.lowered.spans.len()
     }
 
     /// Whether the holder has no frames recorded.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.lowered.spans.is_empty()
     }
 
     /// Class count of the last run's logits rows.
@@ -375,19 +381,43 @@ impl PlannedBatch {
 
     /// The `i`-th input frame's result; `None` if that frame had no sampled
     /// pixel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
     pub fn frame(&self, i: usize) -> Option<PlannedFrameView<'_>> {
-        self.frames[i].as_ref().map(|f| PlannedFrameView {
-            pixel_indices: &f.pixel_indices,
-            logits: &self.logits[f.off..f.off + f.rows * self.classes],
-            tokens: f.tokens,
+        let s = self.lowered.spans[i];
+        (s.tokens > 0).then(|| PlannedFrameView {
+            pixel_indices: &self.lowered.pixel_indices[s.px..s.px + s.rows],
+            logits: &self.logits[s.px * self.classes..(s.px + s.rows) * self.classes],
+            tokens: s.tokens,
         })
+    }
+
+    /// Copies every frame's result into a [`SegPrediction`] (pooled pixel
+    /// indices and logits).
+    fn predictions(&self) -> Result<Vec<Option<SegPrediction>>, TensorError> {
+        (0..self.len())
+            .map(|i| {
+                self.frame(i)
+                    .map(|f| {
+                        let rows = f.pixel_indices.len();
+                        Ok(SegPrediction {
+                            pixel_indices: IndexVec::from_slice(f.pixel_indices),
+                            logits: pooled_constant(f.logits, &[rows, self.classes])?,
+                            tokens: f.tokens,
+                        })
+                    })
+                    .transpose()
+            })
+            .collect()
     }
 }
 
 impl std::fmt::Debug for PlannedBatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlannedBatch")
-            .field("frames", &self.frames.len())
+            .field("frames", &self.len())
             .field("classes", &self.classes)
             .field("logit_rows", &(self.logits.len() / self.classes.max(1)))
             .finish()
@@ -496,16 +526,22 @@ impl SparseViT {
             .expect("one output per input frame"))
     }
 
-    /// Lowers one frame into its occupied-patch tokens and pixel queries.
+    /// Lowers `frames` into `low` (cleared first): each frame's
+    /// occupied-patch tokens, patch indices and sampled-pixel queries are
+    /// appended straight to the stacked buffers, and every input frame gets
+    /// one span (zero tokens when no pixel is sampled).
     ///
-    /// Returns `None` when no pixel is sampled.
-    fn prepare(
-        &self,
-        image: &[f32],
-        sampled: &[f32],
-    ) -> Result<Option<PreparedFrame>, TensorError> {
+    /// # Errors
+    ///
+    /// Shape errors, leaving `low` empty, if any frame's buffers do not
+    /// match the configured frame.
+    fn lower(&self, frames: &[(&[f32], &[f32])], low: &mut Lowered) -> Result<(), TensorError> {
+        low.clear();
         let (w, h) = (self.config.frame_width, self.config.frame_height);
-        if image.len() != w * h || sampled.len() != w * h {
+        if let Some((image, sampled)) = frames
+            .iter()
+            .find(|(image, sampled)| image.len() != w * h || sampled.len() != w * h)
+        {
             return Err(TensorError::InvalidArgument {
                 op: "sparse_vit_forward",
                 message: format!(
@@ -519,108 +555,85 @@ impl SparseViT {
         let p = self.config.patch;
         let (gw, gh) = self.config.grid_dims();
         let p2 = p * p;
+        for &(image, sampled) in frames {
+            // Pass 1: parallel occupancy scan — one read-only task per patch
+            // (cost hint: a patch scans up to p^2 mask pixels, so miniature
+            // grids stay on the calling thread).
+            low.occupancy.clear();
+            low.occupancy.resize(gw * gh, false);
+            bliss_parallel::par_chunks_with_cost(&mut low.occupancy, 1, p2, |patch_idx, flag| {
+                let (x0, y0) = ((patch_idx % gw) * p, (patch_idx / gw) * p);
+                flag[0] = (y0..(y0 + p).min(h)).any(|y| {
+                    sampled[y * w + x0..y * w + (x0 + p).min(w)]
+                        .iter()
+                        .any(|&m| m > 0.0)
+                });
+            });
+            let first = low.kept.len();
+            low.kept.extend((0..gw * gh).filter(|&i| low.occupancy[i]));
+            let t = low.kept.len() - first;
+            let px = low.pixel_indices.len();
+            if t > 0 {
+                low.token_counts.push(t);
+                let kept = &low.kept[first..];
 
-        // Pass 1: parallel occupancy scan — one read-only task per patch
-        // (cost hint: a patch scans up to p^2 mask pixels, so miniature
-        // grids stay on the calling thread). The flags are staged in a
-        // pooled f32 buffer — one write per patch into its own chunk — so
-        // the steady-state lowering allocates nothing.
-        let mut occupancy = take_f32_buffer(gw * gh);
-        occupancy.resize(gw * gh, 0.0);
-        bliss_parallel::par_chunks_with_cost(&mut occupancy, 1, p2, |patch_idx, chunk| {
-            let (gy, gx) = (patch_idx / gw, patch_idx % gw);
-            chunk[0] = 0.0;
-            'scan: for dy in 0..p {
-                let y = gy * p + dy;
-                if y >= h {
-                    break;
-                }
-                let row = &sampled[y * w..y * w + w];
-                for dx in 0..p {
-                    let x = gx * p + dx;
-                    if x >= w {
-                        break;
+                // Pass 2: parallel token gather — each kept patch fills its
+                // own `(values, sample-mask)` row of the stacked input.
+                let row0 = low.tokens.len();
+                low.tokens.resize(row0 + t * 2 * p2, 0.0);
+                bliss_parallel::par_chunks(&mut low.tokens[row0..], 2 * p2, |token, chunk| {
+                    let patch_idx = kept[token];
+                    let (gy, gx) = (patch_idx / gw, patch_idx % gw);
+                    let (values, mask) = chunk.split_at_mut(p2);
+                    for dy in 0..p {
+                        let y = gy * p + dy;
+                        if y >= h {
+                            break;
+                        }
+                        for dx in 0..p {
+                            let x = gx * p + dx;
+                            if x >= w {
+                                break;
+                            }
+                            let fi = y * w + x;
+                            values[dy * p + dx] = image[fi];
+                            mask[dy * p + dx] = sampled[fi];
+                        }
                     }
-                    if row[x] > 0.0 {
-                        chunk[0] = 1.0;
-                        break 'scan;
+                });
+
+                // Pass 3: register sampled pixels as classification queries
+                // (serial: the outputs are variable-length appends, and only
+                // kept patches are visited).
+                for (token, &patch_idx) in kept.iter().enumerate() {
+                    let (gy, gx) = (patch_idx / gw, patch_idx % gw);
+                    for dy in 0..p {
+                        let y = gy * p + dy;
+                        if y >= h {
+                            break;
+                        }
+                        for dx in 0..p {
+                            let x = gx * p + dx;
+                            if x >= w {
+                                break;
+                            }
+                            let fi = y * w + x;
+                            if sampled[fi] > 0.0 {
+                                low.pixel_indices.push(fi);
+                                low.pixel_token.push(token);
+                                low.pixel_feat.extend([image[fi], 1.0]);
+                            }
+                        }
                     }
                 }
             }
-        });
-        let mut kept = take_index_buffer(gw * gh);
-        kept.extend((0..gw * gh).filter(|&i| occupancy[i] > 0.0));
-        recycle_f32_buffer(occupancy);
-        if kept.is_empty() {
-            recycle_index_buffer(kept);
-            return Ok(None);
+            low.spans.push(FrameSpan {
+                tokens: t,
+                px,
+                rows: low.pixel_indices.len() - px,
+            });
         }
-        let t = kept.len();
-
-        // Pass 2: parallel token gather — each kept patch fills its own
-        // `(values, sample-mask)` slice of the batched embedding input.
-        let mut token_data = take_f32_buffer(t * 2 * p2);
-        token_data.resize(t * 2 * p2, 0.0);
-        bliss_parallel::par_chunks(&mut token_data, 2 * p2, |token, chunk| {
-            let patch_idx = kept[token];
-            let (gy, gx) = (patch_idx / gw, patch_idx % gw);
-            let (values, mask) = chunk.split_at_mut(p2);
-            for dy in 0..p {
-                let y = gy * p + dy;
-                if y >= h {
-                    break;
-                }
-                for dx in 0..p {
-                    let x = gx * p + dx;
-                    if x >= w {
-                        break;
-                    }
-                    let fi = y * w + x;
-                    values[dy * p + dx] = image[fi];
-                    mask[dy * p + dx] = sampled[fi];
-                }
-            }
-        });
-
-        // Pass 3: register sampled pixels as classification queries (serial:
-        // the outputs are variable-length appends, and only kept patches are
-        // visited).
-        // Capacity bound: every sampled pixel lies inside a kept patch, so
-        // t * p^2 bounds the query count — sizing up front keeps the pooled
-        // buffers from growing (and thus re-allocating) mid-loop.
-        let mut pixel_indices = IndexVec::with_capacity(t * p2);
-        let mut pixel_token = take_index_buffer(t * p2);
-        let mut pixel_feat = take_f32_buffer(2 * t * p2);
-        for (token, &patch_idx) in kept.iter().enumerate() {
-            let (gy, gx) = (patch_idx / gw, patch_idx % gw);
-            for dy in 0..p {
-                let y = gy * p + dy;
-                if y >= h {
-                    break;
-                }
-                for dx in 0..p {
-                    let x = gx * p + dx;
-                    if x >= w {
-                        break;
-                    }
-                    let fi = y * w + x;
-                    if sampled[fi] > 0.0 {
-                        pixel_indices.push(fi);
-                        pixel_token.push(token);
-                        pixel_feat.push(image[fi]);
-                        pixel_feat.push(1.0);
-                    }
-                }
-            }
-        }
-
-        Ok(Some(PreparedFrame {
-            kept,
-            token_data,
-            pixel_indices,
-            pixel_token,
-            pixel_feat,
-        }))
+        Ok(())
     }
 
     /// Segments a batch of sparse frames with **cross-frame batched
@@ -645,92 +658,58 @@ impl SparseViT {
         &self,
         frames: &[(&[f32], &[f32])],
     ) -> Result<Vec<Option<SegPrediction>>, TensorError> {
-        if bliss_tensor::in_inference_mode() {
-            return self.forward_batch_planned(frames);
+        // The shared holder leaves the planned state for the call, so the
+        // planned run can borrow the plan cache.
+        let mut batch = self.plans.borrow_mut().batch.take().unwrap_or_default();
+        let result = if bliss_tensor::in_inference_mode() {
+            self.forward_batch_into(frames, &mut batch)
+                .and_then(|()| batch.predictions())
+        } else {
+            self.lower(frames, &mut batch.lowered)
+                .and_then(|()| self.tape_forward(&batch.lowered))
+        };
+        self.plans.borrow_mut().batch = Some(batch);
+        result
+    }
+
+    /// The tape body of [`SparseViT::forward_batch`] over a lowered batch.
+    fn tape_forward(&self, low: &Lowered) -> Result<Vec<Option<SegPrediction>>, TensorError> {
+        if low.token_counts.is_empty() {
+            return Ok(low.spans.iter().map(|_| None).collect());
         }
         let p2 = self.config.patch * self.config.patch;
-        let mut prepared = Vec::with_capacity(frames.len());
-        let mut token_counts = Vec::with_capacity(frames.len());
-        let Some((token_data, kept_all)) = self.stage(frames, &mut prepared, &mut token_counts)?
-        else {
-            return Ok(prepared.into_iter().map(|_| None).collect());
-        };
-        // `token_data` moves into the graph (recycled when it drops).
-        let rows = token_data.len() / (2 * p2);
-        let tokens_in = Tensor::constant(NdArray::from_vec(token_data, &[rows, 2 * p2])?);
-        let patch_logits = self.token_pass(&mut Tape, &tokens_in, &kept_all, &token_counts)?;
-        recycle_index_buffer(kept_all);
+        let tokens = pooled_constant(&low.tokens, &[low.kept.len(), 2 * p2])?;
+        let patch_logits = self.token_pass(&mut Tape, &tokens, &low.kept[..], &low.token_counts)?;
 
-        // Pixel head: one GEMM over every frame's sampled-pixel features
-        // (pooled staging, moved into the graph).
-        let s_total: usize = prepared
-            .iter()
-            .flatten()
-            .map(|f| f.pixel_indices.len())
-            .sum();
-        let mut pixel_feat_all = take_f32_buffer(2 * s_total);
-        for f in prepared.iter().flatten() {
-            pixel_feat_all.extend_from_slice(&f.pixel_feat);
-        }
-        let feats = Tensor::constant(NdArray::from_vec(pixel_feat_all, &[s_total, 2])?);
-        let refined_all = self.pixel_head.forward(&feats)?;
+        // Pixel head: one GEMM over every frame's sampled-pixel features.
+        let feats = pooled_constant(&low.pixel_feat, &[low.pixel_indices.len(), 2])?;
+        let refined = self.pixel_head.forward(&feats)?;
 
         // Per-frame mask decoding: each frame's patch logits expanded to its
         // pixel queries, plus its refinement rows.
         let mut patch_logits = patch_logits.into_iter();
-        let mut pixel_cursor = 0usize;
-        prepared
-            .into_iter()
-            .map(|f| {
-                let Some(f) = f else { return Ok(None) };
+        low.spans
+            .iter()
+            .map(|s| {
+                if s.tokens == 0 {
+                    return Ok(None);
+                }
                 let patch = patch_logits
                     .next()
                     .expect("one logits node per active frame");
-                let rows = f.pixel_indices.len();
-                let expanded = patch.gather_rows(&f.pixel_token)?;
-                let refined = refined_all.slice_rows(pixel_cursor, pixel_cursor + rows)?;
-                pixel_cursor += rows;
-                let logits = expanded.add(&refined)?;
-                let tokens = f.kept.len();
+                let rows = s.px..s.px + s.rows;
+                let expanded = patch.gather_rows(&low.pixel_token[rows.clone()])?;
+                let logits = expanded.add(&refined.slice_rows(s.px, s.px + s.rows)?)?;
                 Ok(Some(SegPrediction {
-                    pixel_indices: f.recycle(),
+                    pixel_indices: IndexVec::from_slice(&low.pixel_indices[rows]),
                     logits,
-                    tokens,
+                    tokens: s.tokens,
                 }))
             })
             .collect()
     }
 
-    /// Lowers `frames` into `prepared` (`None` for a frame with no sampled
-    /// pixel) and stacks the active ones for one token pass; `token_counts`
-    /// receives the plan-cache key. `None` when no frame is active.
-    fn stage(
-        &self,
-        frames: &[(&[f32], &[f32])],
-        prepared: &mut Vec<Option<PreparedFrame>>,
-        token_counts: &mut Vec<usize>,
-    ) -> Result<Option<StagedTokens>, TensorError> {
-        prepared.clear();
-        token_counts.clear();
-        for (image, sampled) in frames {
-            prepared.push(self.prepare(image, sampled)?);
-        }
-        token_counts.extend(prepared.iter().flatten().map(|f| f.kept.len()));
-        if token_counts.is_empty() {
-            return Ok(None);
-        }
-        let total: usize = token_counts.iter().sum();
-        let p2 = self.config.patch * self.config.patch;
-        let mut token_data = take_f32_buffer(total * 2 * p2);
-        let mut kept_all = take_index_buffer(total);
-        for f in prepared.iter().flatten() {
-            token_data.extend_from_slice(&f.token_data);
-            kept_all.extend_from_slice(&f.kept);
-        }
-        Ok(Some((token_data, kept_all)))
-    }
-
-    /// The cross-frame batched token pass over [`StagedTokens`], written
+    /// The cross-frame batched token pass over a lowered batch, written
     /// once for both engines: patch embedding plus position gather,
     /// block-diagonal encoder, per-frame class-embedding append, decoder,
     /// and per-frame scaled patch x class logits (one node per frame). The
@@ -803,48 +782,15 @@ impl SparseViT {
         Ok(g)
     }
 
-    /// The planned counterpart of the tape `forward_batch` body: runs
-    /// [`SparseViT::forward_batch_into`] on the shared reusable batch holder
-    /// and wraps each frame's result in a [`SegPrediction`] (the only step
-    /// that allocates — pooled logits copies and the constant tensors).
-    fn forward_batch_planned(
-        &self,
-        frames: &[(&[f32], &[f32])],
-    ) -> Result<Vec<Option<SegPrediction>>, TensorError> {
-        // Take the holder out of the shared state so `forward_batch_into`
-        // can borrow the plan cache without a double RefCell borrow.
-        let mut batch = self.plans.borrow_mut().batch.take().unwrap_or_default();
-        let result = self.forward_batch_into(frames, &mut batch).and_then(|()| {
-            let classes = batch.classes;
-            let mut out: Vec<Option<SegPrediction>> = Vec::with_capacity(frames.len());
-            for fr in batch.frames.drain(..) {
-                let Some(pf) = fr else {
-                    out.push(None);
-                    continue;
-                };
-                let mut buf = take_f32_buffer(pf.rows * classes);
-                buf.extend_from_slice(&batch.logits[pf.off..pf.off + pf.rows * classes]);
-                let logits = Tensor::constant(NdArray::from_vec(buf, &[pf.rows, classes])?);
-                out.push(Some(SegPrediction {
-                    pixel_indices: pf.pixel_indices,
-                    logits,
-                    tokens: pf.tokens,
-                }));
-            }
-            Ok(out)
-        });
-        self.plans.borrow_mut().batch = Some(batch);
-        result
-    }
-
     /// Segments a batch of sparse frames through the **compiled planned
     /// path**, writing every result into the reusable `out` holder.
     ///
-    /// The token pass executes a cached [`ExecPlan`] keyed by the batch's
-    /// span layout `[t_1..t_k]` (compiled on first sight of a layout); the
-    /// variable-row pixel refinement tail runs as direct
-    /// [`bliss_tensor::kernels`] calls on pooled buffers. In steady state —
-    /// warm scratch pools, previously seen span layout — one call performs
+    /// The frames are lowered once into `out`'s stacked buffers. The token
+    /// pass executes a cached [`ExecPlan`] keyed by the batch's span layout
+    /// `[t_1..t_k]` (compiled on first sight of a layout); the variable-row
+    /// pixel refinement tail runs as direct [`bliss_tensor::kernels`] calls
+    /// on the same buffers. In steady state — a holder that has seen the
+    /// working set, a previously seen span layout — one call performs
     /// **zero heap allocations**, and every frame's logits are
     /// bit-identical to the tape [`SparseViT::forward_batch`] at any thread
     /// count (the plan dispatches to the same slice-level kernels).
@@ -852,26 +798,35 @@ impl SparseViT {
     /// # Errors
     ///
     /// Returns shape errors if any buffer does not match the configured
-    /// frame.
+    /// frame; `out` then holds no frame.
     pub fn forward_batch_into(
         &self,
         frames: &[(&[f32], &[f32])],
         out: &mut PlannedBatch,
     ) -> Result<(), TensorError> {
-        let classes = self.config.num_classes;
-        out.classes = classes;
+        out.classes = self.config.num_classes;
+        let result = self
+            .lower(frames, &mut out.lowered)
+            .and_then(|()| self.run_lowered(out));
+        if result.is_err() {
+            // No span may outlive a failed call and slice stale logits.
+            out.lowered.clear();
+        }
+        result
+    }
+
+    /// Runs the cached plan and the pixel-head tail over `out`'s lowered
+    /// batch, writing `out.logits`.
+    fn run_lowered(&self, out: &mut PlannedBatch) -> Result<(), TensorError> {
+        let (low, classes) = (&out.lowered, out.classes);
         out.logits.clear();
-        out.frames.clear();
-        let Some((token_data, kept_all)) =
-            self.stage(frames, &mut out.prepared, &mut out.token_counts)?
-        else {
-            out.frames.extend(frames.iter().map(|_| None));
+        if low.token_counts.is_empty() {
             return Ok(());
-        };
+        }
         // Look up (or compile) the plan for this span layout.
         let plan = {
             let mut plans = self.plans.borrow_mut();
-            let counts = &out.token_counts;
+            let counts = &low.token_counts;
             if plans.use_int8 {
                 let spec = plans
                     .quant
@@ -886,23 +841,10 @@ impl SparseViT {
                     .get_or_build(counts, || ExecPlan::compile(self.batch_graph(counts)?))?
             }
         };
-        plan.execute(&[&token_data], &[&kept_all])?;
-        recycle_f32_buffer(token_data);
-        recycle_index_buffer(kept_all);
+        plan.execute(&[&low.tokens], &[&low.kept])?;
 
         // Pixel refinement head: one GEMM over every frame's sampled-pixel
-        // features, staged in retained buffers.
-        let s_total: usize = out
-            .prepared
-            .iter()
-            .flatten()
-            .map(|f| f.pixel_indices.len())
-            .sum();
-        out.pixel_feat_all.clear();
-        out.pixel_feat_all.reserve(2 * s_total);
-        for f in out.prepared.iter().flatten() {
-            out.pixel_feat_all.extend_from_slice(&f.pixel_feat);
-        }
+        // features, written straight into the logits rows.
         let (pw, pb) = {
             let mut plans = self.plans.borrow_mut();
             if plans.pixel_params.is_none() {
@@ -911,46 +853,28 @@ impl SparseViT {
             }
             plans.pixel_params.clone().expect("just initialised")
         };
-        out.refined.clear();
-        out.refined.resize(s_total * classes, 0.0);
+        out.logits.resize(low.pixel_indices.len() * classes, 0.0);
         kernels::matmul_into(
-            &out.pixel_feat_all,
+            &low.pixel_feat,
             pw.value().data(),
             2,
             classes,
-            &mut out.refined,
+            &mut out.logits,
         );
-        kernels::add_row_assign(&mut out.refined, pb.value().data());
+        kernels::add_row_assign(&mut out.logits, pb.value().data());
 
-        // Per-frame decode: expand each frame's patch logits (a plan
-        // output) to its pixel queries and add the refinement rows.
-        out.logits.resize(s_total * classes, 0.0);
-        let mut pixel_cursor = 0usize;
-        let mut slot = 0usize;
-        for f in out.prepared.iter_mut().map(Option::take) {
-            let Some(f) = f else {
-                out.frames.push(None);
-                continue;
-            };
-            let t = f.kept.len();
-            let rows = f.pixel_indices.len();
-            let off = pixel_cursor * classes;
-            let dst = &mut out.logits[off..off + rows * classes];
-            plan.with_output(slot, |data| {
-                kernels::gather_rows_into(data, t, classes, &f.pixel_token, dst)
-            })?;
-            for (l, &r) in dst.iter_mut().zip(&out.refined[off..off + rows * classes]) {
-                *l += r;
-            }
-            let pixel_indices = f.recycle();
-            out.frames.push(Some(PlannedFrame {
-                off,
-                rows,
-                tokens: t,
-                pixel_indices,
-            }));
-            pixel_cursor += rows;
-            slot += 1;
+        // Per-frame decode: add each frame's patch logits (a plan output)
+        // to the rows of its pixel queries.
+        for (slot, s) in low.spans.iter().filter(|s| s.tokens > 0).enumerate() {
+            let dst = &mut out.logits[s.px * classes..(s.px + s.rows) * classes];
+            let owners = &low.pixel_token[s.px..s.px + s.rows];
+            plan.with_output(slot, |patch| {
+                for (row, &t) in dst.chunks_exact_mut(classes).zip(owners) {
+                    for (l, &v) in row.iter_mut().zip(&patch[t * classes..(t + 1) * classes]) {
+                        *l += v;
+                    }
+                }
+            });
         }
         Ok(())
     }
@@ -991,26 +915,18 @@ impl SparseViT {
     /// Returns shape errors if a buffer does not match the configured
     /// frame, or plan compile/execute errors.
     pub fn observe_int8_calibration(&self, frames: &[(&[f32], &[f32])]) -> Result<(), TensorError> {
-        let mut prepared = Vec::with_capacity(frames.len());
-        let mut token_counts = Vec::with_capacity(frames.len());
-        let Some((token_data, kept_all)) = self.stage(frames, &mut prepared, &mut token_counts)?
-        else {
+        let mut low = Lowered::default();
+        self.lower(frames, &mut low)?;
+        if low.token_counts.is_empty() {
             return Ok(());
-        };
-        let mut g = self.batch_graph(&token_counts)?;
+        }
+        let mut g = self.batch_graph(&low.token_counts)?;
         let taps = QuantCalibration::instrument(&mut g);
         let plan = ExecPlan::compile(g)?;
-        plan.execute(&[&token_data], &[&kept_all])?;
-        {
-            let mut plans = self.plans.borrow_mut();
-            let calib = plans.calib.get_or_insert_with(QuantCalibration::new);
-            calib.observe_plan(&plan, &[&token_data], &taps);
-        }
-        recycle_f32_buffer(token_data);
-        recycle_index_buffer(kept_all);
-        for f in prepared.into_iter().flatten() {
-            drop(f.recycle());
-        }
+        plan.execute(&[&low.tokens], &[&low.kept])?;
+        let mut plans = self.plans.borrow_mut();
+        let calib = plans.calib.get_or_insert_with(QuantCalibration::new);
+        calib.observe_plan(&plan, &[&low.tokens], &taps);
         Ok(())
     }
 
@@ -1344,6 +1260,53 @@ mod tests {
                 _ => panic!("frame {i}: presence disagrees"),
             }
         }
+    }
+
+    #[test]
+    fn reused_holder_matches_a_fresh_one_and_holds_nothing_after_an_error() {
+        let vit = tiny();
+        let dense = synth_frame(1, 1.0);
+        let sparse = synth_frame(2, 0.05);
+        let empty = (vec![0.0f32; 1200], vec![0.0f32; 1200]);
+        let mut single = (vec![0.0f32; 1200], vec![0.0f32; 1200]);
+        single.0[777] = 0.3;
+        single.1[777] = 1.0;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Runs `batch` through the reused holder and checks every frame
+        // against a fresh holder, bit for bit.
+        let run_and_check = |reused: &mut PlannedBatch, batch: &[&(Vec<f32>, Vec<f32>)]| {
+            let frames: Vec<(&[f32], &[f32])> =
+                batch.iter().map(|f| (&f.0[..], &f.1[..])).collect();
+            vit.forward_batch_into(&frames, reused).unwrap();
+            let mut fresh = PlannedBatch::new();
+            vit.forward_batch_into(&frames, &mut fresh).unwrap();
+            assert_eq!(reused.len(), frames.len());
+            for i in 0..frames.len() {
+                match (reused.frame(i), fresh.frame(i)) {
+                    (Some(r), Some(f)) => {
+                        assert_eq!(r.pixel_indices, f.pixel_indices, "frame {i}");
+                        assert_eq!(r.tokens, f.tokens, "frame {i}");
+                        assert_eq!(bits(r.logits), bits(f.logits), "frame {i}");
+                    }
+                    (None, None) => {}
+                    _ => panic!("frame {i}: presence disagrees"),
+                }
+            }
+        };
+        let mut reused = PlannedBatch::new();
+        run_and_check(&mut reused, &[&dense, &empty, &sparse]);
+        run_and_check(&mut reused, &[&single]);
+        run_and_check(&mut reused, &[&sparse, &single, &empty, &dense]);
+        run_and_check(&mut reused, &[&empty, &sparse]);
+
+        // A wrong-size frame after a good one: the call fails and leaves no
+        // span behind to slice the cleared logits.
+        let bad: Vec<(&[f32], &[f32])> = vec![(&dense.0, &dense.1), (&[0.0; 10], &[0.0; 10])];
+        assert!(vit.forward_batch_into(&bad, &mut reused).is_err());
+        assert_eq!(reused.len(), 0);
+        assert!(reused.is_empty());
+
+        run_and_check(&mut reused, &[&single, &dense]);
     }
 
     #[test]
